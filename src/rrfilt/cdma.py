@@ -207,8 +207,21 @@ def qpsk_symbols(rng: np.random.Generator, n_users: int, n_symbols: int) -> np.n
     return (re + 1j * im) / SQRT2
 
 
+# constellation points indexed by (Re >= 0) + 2 * (Im >= 0)
+_QPSK_POINTS = tuple(
+    complex(re, im) / SQRT2 for im in (-1.0, 1.0) for re in (-1.0, 1.0)
+)
+
+
 def detect_qpsk(y):
-    """Quadrant slicer onto the QPSK constellation; zeros break toward +1."""
+    """Quadrant slicer onto the QPSK constellation; zeros break toward +1.
+
+    A Python or numpy complex scalar takes a table lookup; anything else goes
+    through the array path.  Both return the same values, NaN components
+    slicing toward -1.
+    """
+    if isinstance(y, complex):
+        return _QPSK_POINTS[(y.real >= 0.0) + 2 * (y.imag >= 0.0)]
     y = np.asarray(y)
     re = np.where(y.real >= 0.0, 1.0, -1.0)
     im = np.where(y.imag >= 0.0, 1.0, -1.0)

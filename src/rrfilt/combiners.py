@@ -9,18 +9,30 @@ The CLMS baseline applies the same combiner to two full-tap LMS filters.
 
 Every constituent adapts with its own error; combiners adapt with the error
 of the output they produce.  All mixing values are read before any state
-moves, so one step sees a consistent snapshot.
+moves, so one step sees a consistent snapshot.  The reduced-rank schemes
+build one Hankel regressor per window and interpolator length and share it
+between the constituents that have that length.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .filters import FullRankLms, JidfFilter
+
+
+class Diverged(ValueError):
+    """A non-finite value reached a mixing node: the scheme has diverged.
+
+    Internal signal: the experiment harness counts the run as diverged and
+    lets every other exception propagate.
+    """
 
 
 def sigmoid(u: float) -> float:
@@ -60,16 +72,21 @@ class Combiner:
         The real part is the exact gradient of the squared combined error
         with respect to the real parameter ``u``.
         """
-        if not (np.isfinite(y1) and np.isfinite(y2) and np.isfinite(e)):
-            raise ValueError("combiner inputs must be finite")
+        if not (cmath.isfinite(y1) and cmath.isfinite(y2) and cmath.isfinite(e)):
+            raise Diverged("combiner inputs must be finite")
         lam = self.mixing
-        grad = (np.conj(y1 - y2) * e).real * lam * (1.0 - lam)
-        self.u = float(np.clip(self.u + self.mu * grad, -self.u_max, self.u_max))
+        grad = ((y1 - y2).conjugate() * e).real * lam * (1.0 - lam)
+        self.u = float(min(max(self.u + self.mu * grad, -self.u_max), self.u_max))
 
 
 @dataclass
 class CombinedStep:
-    """Diagnostics of one combination-scheme step (pre-update quantities)."""
+    """Diagnostics of one combination-scheme step (pre-update quantities).
+
+    ``w_eq`` is the window-length filter equivalent to the scheme at this
+    step (``w_eq^H r == y``); it is built on first access, from the
+    pre-update coefficients the step keeps.
+    """
 
     e: complex
     outputs: tuple[complex, ...]
@@ -77,14 +94,51 @@ class CombinedStep:
     lambda_a: float | None
     lambda_b: float | None
     lambda_c: float | None
-    w_eq: np.ndarray
+    _build_w_eq: Callable[[], np.ndarray] = field(repr=False, compare=False)
+
+    @cached_property
+    def w_eq(self) -> np.ndarray:
+        return self._build_w_eq()
 
 
-def _equivalent_jidf_mix(filters, branches, coeffs) -> np.ndarray:
+def _jidf_forwards(filters, r, d):
+    """Forward passes of reduced-rank constituents over one window, with one
+    Hankel regressor per distinct interpolator length."""
+    hankels = {}
+    fwds = []
+    for f in filters:
+        hankel = hankels.get(f.interp_len)
+        if hankel is None:
+            hankel = hankels[f.interp_len] = f.regressor(r)
+        fwds.append(f._forward(r, d, hankel))
+    return fwds
+
+
+def _jidf_mix(filters, coeffs, states) -> np.ndarray:
+    """Mixing-weighted sum of the constituents' equivalent filters;
+    ``states`` gives each constituent's ``(branch, v, w_bar)``."""
     w_eq = np.zeros(filters[0].num_taps, dtype=np.complex128)
-    for f, b, c in zip(filters, branches, coeffs):
-        w_eq += c * f.equivalent_reduced_filter(b)
+    for f, c, (b, v, w_bar) in zip(filters, coeffs, states):
+        w_eq += c * f._equivalent(b, v, w_bar)
     return w_eq
+
+
+def _step_mix(filters, coeffs, fwds):
+    """Deferred ``w_eq`` of a reduced-rank scheme step.  Valid after the
+    commit because ``_commit`` rebinds the coefficient arrays."""
+    def build():
+        return _jidf_mix(filters, coeffs, ((f.b_opt, f.v, f.w_bar) for f in fwds))
+
+    return build
+
+
+def _current_mix(filters, coeffs) -> np.ndarray:
+    states = ((f.last_b_opt, f.v, f.w_bar) for f in filters)
+    return _jidf_mix(filters, coeffs, states)
+
+
+def _tree_coeffs(la: float, lb: float, lc: float) -> tuple[float, ...]:
+    return (lc * la, lc * (1 - la), (1 - lc) * lb, (1 - lc) * (1 - lb))
 
 
 class SchemeB:
@@ -110,14 +164,10 @@ class SchemeB:
 
     def step(self, r, d) -> tuple[complex, CombinedStep]:
         f1, f2 = self.filters
-        fwd1 = f1._forward(r, d)
-        fwd2 = f2._forward(r, d)
+        fwds = fwd1, fwd2 = _jidf_forwards(self.filters, r, d)
         lam = self.combiner.mixing
         y = lam * fwd1.y + (1.0 - lam) * fwd2.y
         e = complex(d) - y
-        w_eq = _equivalent_jidf_mix(
-            self.filters, (fwd1.b_opt, fwd2.b_opt), (lam, 1.0 - lam)
-        )
         f1._commit(fwd1)
         f2._commit(fwd2)
         self.combiner.update(fwd1.y, fwd2.y, e)
@@ -128,7 +178,7 @@ class SchemeB:
             lambda_a=None,
             lambda_b=None,
             lambda_c=lam,
-            w_eq=w_eq,
+            _build_w_eq=_step_mix(self.filters, (lam, 1.0 - lam), fwds),
         )
         return y, diag
 
@@ -170,7 +220,7 @@ class SchemeA:
         return lc * (la * y1 + (1 - la) * y2) + (1 - lc) * (lb * y3 + (1 - lb) * y4)
 
     def step(self, r, d) -> tuple[complex, CombinedStep]:
-        fwds = [f._forward(r, d) for f in self.filters]
+        fwds = _jidf_forwards(self.filters, r, d)
         la = self.combiner_a.mixing
         lb = self.combiner_b.mixing
         lc = self.combiner_c.mixing
@@ -179,9 +229,6 @@ class SchemeA:
         y = lc * y_a + (1.0 - lc) * y_b
         d = complex(d)
         e = d - y
-        branches = tuple(f.b_opt for f in fwds)
-        coeffs = (lc * la, lc * (1 - la), (1 - lc) * lb, (1 - lc) * (1 - lb))
-        w_eq = _equivalent_jidf_mix(self.filters, branches, coeffs)
         for f, fwd in zip(self.filters, fwds):
             f._commit(fwd)
         self.combiner_a.update(fwds[0].y, fwds[1].y, d - y_a)
@@ -190,11 +237,11 @@ class SchemeA:
         diag = CombinedStep(
             e=e,
             outputs=tuple(f.y for f in fwds),
-            branches=branches,
+            branches=tuple(f.b_opt for f in fwds),
             lambda_a=la,
             lambda_b=lb,
             lambda_c=lc,
-            w_eq=w_eq,
+            _build_w_eq=_step_mix(self.filters, _tree_coeffs(la, lb, lc), fwds),
         )
         return y, diag
 
@@ -228,7 +275,7 @@ class Clms:
         lam = self.combiner.mixing
         y = lam * fwd1.y + (1.0 - lam) * fwd2.y
         e = complex(d) - y
-        w_eq = lam * f1.w + (1.0 - lam) * f2.w
+        w1, w2 = f1.w, f2.w  # _commit rebinds w, so these stay pre-update
         f1._commit(fwd1)
         f2._commit(fwd2)
         self.combiner.update(fwd1.y, fwd2.y, e)
@@ -239,7 +286,7 @@ class Clms:
             lambda_a=lam,
             lambda_b=None,
             lambda_c=None,
-            w_eq=w_eq,
+            _build_w_eq=lambda: lam * w1 + (1.0 - lam) * w2,
         )
         return y, diag
 
@@ -250,16 +297,13 @@ def equivalent_filter_scheme_a(scheme: SchemeA) -> np.ndarray:
     Mixing-weighted sum of the constituents' equivalent filters at their
     currently selected branches; satisfies ``w_eq^H r == predict(r)``.
     """
-    la = scheme.combiner_a.mixing
-    lb = scheme.combiner_b.mixing
-    lc = scheme.combiner_c.mixing
-    coeffs = (lc * la, lc * (1 - la), (1 - lc) * lb, (1 - lc) * (1 - lb))
-    branches = tuple(f.last_b_opt for f in scheme.filters)
-    return _equivalent_jidf_mix(scheme.filters, branches, coeffs)
+    coeffs = _tree_coeffs(
+        scheme.combiner_a.mixing, scheme.combiner_b.mixing, scheme.combiner_c.mixing
+    )
+    return _current_mix(scheme.filters, coeffs)
 
 
 def equivalent_filter_scheme_b(scheme: SchemeB) -> np.ndarray:
     """Window-length filter currently equivalent to scheme B."""
     lam = scheme.combiner.mixing
-    branches = tuple(f.last_b_opt for f in scheme.filters)
-    return _equivalent_jidf_mix(scheme.filters, branches, (lam, 1.0 - lam))
+    return _current_mix(scheme.filters, (lam, 1.0 - lam))

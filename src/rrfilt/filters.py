@@ -14,7 +14,11 @@ selection, and a short filter (the JIDF structure).  Shared conventions:
 
 The ``_forward``/``_commit`` split lets combination schemes read every
 constituent's pre-update output (and this step's branch choice) before any
-coefficients move; ``step`` is the fused convenience path.
+coefficients move; ``step`` is the fused convenience path.  ``_commit``
+rebinds the coefficient arrays and never writes into them, so a forward
+record's references to the pre-update coefficients stay valid after the
+commit (combination schemes build their equivalent filter from them on
+demand).
 """
 
 from __future__ import annotations
@@ -54,6 +58,8 @@ class _JidfForward:
     b_opt: int
     r_bar: np.ndarray  # decimated interpolated regressor of the winning branch
     u: np.ndarray  # interpolator regressor, built from pre-update coefficients
+    v: np.ndarray  # pre-update interpolator
+    w_bar: np.ndarray  # pre-update reduced-rank filter
 
 
 class FullRankLms:
@@ -179,8 +185,13 @@ class JidfFilter:
         Returns ``(b_opt, e, r_bar)``: the winning 0-based branch index, its
         error, and its decimated regressor.  No state is modified.
         """
-        y_all, e_all, r_bars = self._branch_outputs(hankel, d)
-        b = int(np.argmin(np.abs(e_all) ** 2))
+        hankel = np.asarray(hankel, dtype=np.complex128)
+        if hankel.shape != (self.num_taps, self.interp_len):
+            raise ValueError(
+                f"expected a {self.num_taps}x{self.interp_len} Hankel regressor"
+            )
+        y_all, e_all, r_bars = self._branch_outputs(hankel, d, np.conj(self.w_bar))
+        b = int((np.abs(e_all) ** 2).argmin())
         return b, complex(e_all[b]), r_bars[b]
 
     def output_dual(self, hankel, branch: int) -> complex:
@@ -213,23 +224,36 @@ class JidfFilter:
         """
         if not 0 <= branch < self.n_branches:
             raise ValueError(f"branch must be in [0, {self.n_branches})")
-        scattered = np.zeros(self.num_taps, dtype=np.complex128)
-        scattered[self._idx[branch]] = self.w_bar
-        return np.convolve(scattered, self.v)[: self.num_taps]
+        return self._equivalent(branch, self.v, self.w_bar)
 
     # -- internals ---------------------------------------------------------
 
-    def _forward(self, r, d) -> _JidfForward:
-        hankel = self.regressor(r)
-        y_all, e_all, r_bars = self._branch_outputs(hankel, d)
-        b = int(np.argmin(np.abs(e_all) ** 2))
-        u = self._interp_regressor(hankel, b)
+    def _equivalent(self, branch: int, v, w_bar) -> np.ndarray:
+        scattered = np.zeros(self.num_taps, dtype=np.complex128)
+        scattered[self._idx[branch]] = w_bar
+        return np.convolve(scattered, v)[: self.num_taps]
+
+    def _forward(self, r, d, hankel=None) -> _JidfForward:
+        """Pre-update outputs of every branch and the winner's gradients.
+
+        ``hankel`` is the regressor of ``r`` when the caller has built it
+        already (combination schemes build one per interpolator length and
+        share it between constituents); ``r`` is then not read.
+        """
+        if hankel is None:
+            hankel = self.regressor(r)
+        v, w_bar = self.v, self.w_bar
+        cw = np.conj(w_bar)
+        y_all, e_all, r_bars = self._branch_outputs(hankel, d, cw)
+        b = int((np.abs(e_all) ** 2).argmin())
         return _JidfForward(
             y=complex(y_all[b]),
             e=complex(e_all[b]),
             b_opt=b,
             r_bar=r_bars[b],
-            u=u,
+            u=hankel[self._idx[b]].T @ cw,
+            v=v,
+            w_bar=w_bar,
         )
 
     def _commit(self, fwd: _JidfForward) -> None:
@@ -238,17 +262,11 @@ class JidfFilter:
         self.w_bar = self.w_bar + self.mu * ce * fwd.r_bar
         self.last_b_opt = fwd.b_opt
 
-    def _branch_outputs(self, hankel, d):
-        hankel = np.asarray(hankel, dtype=np.complex128)
-        if hankel.shape != (self.num_taps, self.interp_len):
-            raise ValueError(
-                f"expected a {self.num_taps}x{self.interp_len} Hankel regressor"
-            )
-        interpolated = hankel @ np.conj(self.v)
-        r_bars = interpolated[self._idx]  # (n_branches, rank)
-        y_all = r_bars @ np.conj(self.w_bar)
-        e_all = complex(d) - y_all
-        return y_all, e_all, r_bars
+    def _branch_outputs(self, hankel, d, cw):
+        # cw is conj(w_bar), computed once by the caller
+        r_bars = (hankel @ np.conj(self.v))[self._idx]  # (n_branches, rank)
+        y_all = r_bars @ cw
+        return y_all, complex(d) - y_all, r_bars
 
     def _interp_regressor(self, hankel, branch: int) -> np.ndarray:
         if not 0 <= branch < self.n_branches:

@@ -47,7 +47,7 @@ from .cdma import (
     generate_signatures,
     qpsk_symbols,
 )
-from .combiners import Clms, SchemeA, SchemeB
+from .combiners import Clms, Diverged, SchemeA, SchemeB
 from .filters import FullRankLms, JidfFilter
 
 SCHEMES = ("fullrank", "clms", "jidf", "scheme_a", "scheme_b", "mmse")
@@ -415,7 +415,7 @@ def _single_run(cfg: ExperimentConfig, run_idx: int) -> _RunResult:
                         b_opt[i] = diag.branches[0]
                         for br in diag.branches:
                             branch_hist[br] += 1
-            except ValueError:
+            except Diverged:
                 # the combiner's finiteness guard trips on diverged constituents
                 diverged = True
                 break

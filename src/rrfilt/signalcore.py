@@ -14,9 +14,9 @@ the whole package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from numpy.typing import NDArray
 
 
@@ -82,7 +82,16 @@ def build_hankel(samples, num_taps: int, interp_len: int) -> NDArray[np.complex1
     buf = np.zeros(needed, dtype=np.complex128)
     take = min(s.size, needed)
     buf[:take] = s[:take]
-    return np.ascontiguousarray(sliding_window_view(buf, interp_len))
+    return buf[_hankel_index(num_taps, interp_len)]
+
+
+@lru_cache(maxsize=64)
+def _hankel_index(num_taps: int, interp_len: int) -> NDArray[np.intp]:
+    """Read-only ``(num_taps, interp_len)`` table of ``m + k``: one fancy
+    index gathers the whole Hankel regressor from the padded window."""
+    idx = np.arange(num_taps)[:, None] + np.arange(interp_len)
+    idx.setflags(write=False)
+    return idx
 
 
 def interpolation_matrix(coeffs, size: int) -> NDArray[np.complex128]:
@@ -128,9 +137,9 @@ def generate_decimation_patterns(
     """Build the candidate decimation patterns for a branch bank.
 
     Pattern ``b`` (0-based) keeps indices ``b + d * stride`` for
-    ``d = 0 .. rank-1`` with ``stride = num_taps // rank``, clipped to the
-    window: a uniform comb per branch, offset by one sample per branch.  All
-    requested branches must fit without clipping-induced collisions.
+    ``d = 0 .. rank-1`` with ``stride = num_taps // rank``: a uniform comb
+    per branch, offset by one sample per branch.  All requested branches
+    must fit inside the window.
     """
     if rank < 1 or rank > num_taps:
         raise ValueError("rank must satisfy 1 <= rank <= num_taps")
@@ -144,10 +153,7 @@ def generate_decimation_patterns(
             f"{num_taps}-sample window (patterns would collide or leave it)"
         )
     offsets = stride * np.arange(rank, dtype=np.intp)
-    return [
-        DecimationPattern(np.minimum(b + offsets, num_taps - 1))
-        for b in range(n_branches)
-    ]
+    return [DecimationPattern(b + offsets) for b in range(n_branches)]
 
 
 def apply_decimation(pattern: DecimationPattern, x) -> NDArray[np.complex128]:

@@ -311,3 +311,22 @@ class TestDetectQpsk:
         rng = np.random.default_rng(22)
         syms = qpsk_symbols(rng, 1, 100)[0]
         assert_array_equal(detect_qpsk(syms), syms)
+
+    @pytest.mark.parametrize("kind", [complex, np.complex128])
+    def test_scalar_path_matches_array_expression(self, kind):
+        # the scalar table lookup must return exactly what the array
+        # expression returns, signed zeros and non-finite components included
+        def array_slicer(y):
+            y = np.asarray(y)
+            re = np.where(y.real >= 0.0, 1.0, -1.0)
+            im = np.where(y.imag >= 0.0, 1.0, -1.0)
+            return complex((re + 1j * im) / SQRT2)
+
+        parts = (0.0, -0.0, np.nan, np.inf, -np.inf, 0.25, -3.0)
+        for re in parts:
+            for im in parts:
+                y = kind(complex(re, im))
+                got = detect_qpsk(y)
+                assert type(got) is complex
+                assert repr(got) == repr(array_slicer(y)), (re, im)
+                assert repr(got) == repr(detect_qpsk(np.array([y]))[0].item())

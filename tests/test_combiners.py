@@ -4,6 +4,8 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from rrfilt.combiners import (
@@ -309,3 +311,45 @@ class TestMixingBounds:
             d = complex(*rng.standard_normal(2))
             _, diag = scheme.step(r, d)
             assert lo <= diag.lambda_c <= hi
+
+
+class TestSharedHankel:
+    """The schemes build one Hankel regressor per interpolator length and
+    share it; every constituent must still see exactly its own step."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_constituents_match_standalone_steps_bit_for_bit(self, data):
+        m = data.draw(st.integers(1, 12), label="num_taps")
+        n_filters = data.draw(st.sampled_from([2, 4]), label="constituents")
+        # at most two interpolator lengths, so constituents often share one
+        lens = data.draw(st.lists(st.integers(1, m), min_size=1, max_size=2))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        filters = []
+        for _ in range(n_filters):
+            rank = data.draw(st.integers(1, m), label="rank")
+            n_branches = data.draw(
+                st.integers(1, m - (rank - 1) * (m // rank)), label="branches"
+            )
+            f = JidfFilter(
+                m, data.draw(st.sampled_from(lens)), rank, n_branches,
+                eta=float(rng.uniform(0, 0.05)), mu=float(rng.uniform(0, 0.2)),
+            )
+            _randomize(f, rng).last_b_opt = int(rng.integers(n_branches))
+            filters.append(f)
+        solos = copy.deepcopy(filters)
+        if n_filters == 2:
+            scheme = SchemeB(filters, mu_c=0.25)
+        else:
+            scheme = SchemeA(filters, mu_a=0.25, mu_b=0.25, mu_c=0.25)
+        for _ in range(3):
+            r = _random_complex(rng, m)
+            d = complex(*rng.standard_normal(2))
+            _, diag = scheme.step(r, d)
+            for j, solo in enumerate(solos):
+                res = solo.step(r, d)
+                assert repr(diag.outputs[j]) == repr(res.y)
+                assert diag.branches[j] == res.b_opt
+            for f, solo in zip(filters, solos):
+                assert_array_equal(f.v, solo.v)
+                assert_array_equal(f.w_bar, solo.w_bar)

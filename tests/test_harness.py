@@ -8,6 +8,8 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from rrfilt.cdma import CdmaConfig
+from rrfilt.combiners import Diverged, SchemeB
+from rrfilt.filters import JidfFilter
 from rrfilt.harness import (
     BranchParams,
     ConfigError,
@@ -245,6 +247,32 @@ class TestRunExperiment:
         assert rec_bad.diverged_runs == 3
         assert rec_good.diverged_runs == 0
         assert np.all(np.isfinite(rec_good.per_run_ber))
+
+    def test_blown_up_scheme_counts_as_diverged(self, monkeypatch):
+        # at this seed one run trips the mixing node's finiteness guard
+        # (Diverged) and two fail the harness's own finiteness check
+        monkeypatch.setenv("RRFILT_THREADS", "1")
+        wild = BranchParams(mu=50.0, rank=2, interp_len=2, eta=50.0)
+        cfg = tiny_config("scheme_b", branches=[wild, wild], n_symbols=400)
+        rec = run_experiment(cfg)
+        assert rec.diverged_runs == 3
+        assert np.all(np.isnan(rec.per_run_ber))
+
+    @pytest.mark.parametrize(
+        "scheme,owner", [("jidf", JidfFilter), ("scheme_b", SchemeB)]
+    )
+    def test_programming_errors_propagate(self, scheme, owner, monkeypatch):
+        # only the Diverged signal marks a run as diverged; any other
+        # ValueError raised by a step is a bug and must not vanish from
+        # the averages
+        def broken_step(self, r, d):
+            raise ValueError("shape bug")
+
+        monkeypatch.setattr(owner, "step", broken_step)
+        monkeypatch.setenv("RRFILT_THREADS", "1")
+        with pytest.raises(ValueError, match="shape bug") as info:
+            run_experiment(tiny_config(scheme))
+        assert not isinstance(info.value, Diverged)
 
     def test_mmse_tracks_fading_well(self):
         cfg = tiny_config("mmse", n_symbols=300, n_runs=3)
