@@ -9,9 +9,7 @@ The CLMS baseline applies the same combiner to two full-tap LMS filters.
 
 Every constituent adapts with its own error; combiners adapt with the error
 of the output they produce.  All mixing values are read before any state
-moves, so one step sees a consistent snapshot.  The reduced-rank schemes
-build one Hankel regressor per window and interpolator length and share it
-between the constituents that have that length.
+moves, so one step sees a consistent snapshot.
 """
 
 from __future__ import annotations
@@ -101,19 +99,6 @@ class CombinedStep:
         return self._build_w_eq()
 
 
-def _jidf_forwards(filters, r, d):
-    """Forward passes of reduced-rank constituents over one window, with one
-    Hankel regressor per distinct interpolator length."""
-    hankels = {}
-    fwds = []
-    for f in filters:
-        hankel = hankels.get(f.interp_len)
-        if hankel is None:
-            hankel = hankels[f.interp_len] = f.regressor(r)
-        fwds.append(f._forward(r, d, hankel))
-    return fwds
-
-
 def _jidf_mix(filters, coeffs, states) -> np.ndarray:
     """Mixing-weighted sum of the constituents' equivalent filters;
     ``states`` gives each constituent's ``(branch, v, w_bar)``."""
@@ -130,11 +115,6 @@ def _step_mix(filters, coeffs, fwds):
         return _jidf_mix(filters, coeffs, ((f.b_opt, f.v, f.w_bar) for f in fwds))
 
     return build
-
-
-def _current_mix(filters, coeffs) -> np.ndarray:
-    states = ((f.last_b_opt, f.v, f.w_bar) for f in filters)
-    return _jidf_mix(filters, coeffs, states)
 
 
 def _tree_coeffs(la: float, lb: float, lc: float) -> tuple[float, ...]:
@@ -164,7 +144,7 @@ class SchemeB:
 
     def step(self, r, d) -> tuple[complex, CombinedStep]:
         f1, f2 = self.filters
-        fwds = fwd1, fwd2 = _jidf_forwards(self.filters, r, d)
+        fwds = fwd1, fwd2 = f1._forward(r, d), f2._forward(r, d)
         lam = self.combiner.mixing
         y = lam * fwd1.y + (1.0 - lam) * fwd2.y
         e = complex(d) - y
@@ -220,7 +200,7 @@ class SchemeA:
         return lc * (la * y1 + (1 - la) * y2) + (1 - lc) * (lb * y3 + (1 - lb) * y4)
 
     def step(self, r, d) -> tuple[complex, CombinedStep]:
-        fwds = _jidf_forwards(self.filters, r, d)
+        fwds = [f._forward(r, d) for f in self.filters]
         la = self.combiner_a.mixing
         lb = self.combiner_b.mixing
         lc = self.combiner_c.mixing
@@ -300,10 +280,12 @@ def equivalent_filter_scheme_a(scheme: SchemeA) -> np.ndarray:
     coeffs = _tree_coeffs(
         scheme.combiner_a.mixing, scheme.combiner_b.mixing, scheme.combiner_c.mixing
     )
-    return _current_mix(scheme.filters, coeffs)
+    states = ((f.last_b_opt, f.v, f.w_bar) for f in scheme.filters)
+    return _jidf_mix(scheme.filters, coeffs, states)
 
 
 def equivalent_filter_scheme_b(scheme: SchemeB) -> np.ndarray:
     """Window-length filter currently equivalent to scheme B."""
     lam = scheme.combiner.mixing
-    return _current_mix(scheme.filters, (lam, 1.0 - lam))
+    states = ((f.last_b_opt, f.v, f.w_bar) for f in scheme.filters)
+    return _jidf_mix(scheme.filters, (lam, 1.0 - lam), states)

@@ -200,7 +200,10 @@ class JidfFilter:
         Algebraically identical to the filter-side form
         ``w_bar^H (pattern-selected interpolated window)``.
         """
-        u = self._interp_regressor(hankel, branch)
+        if not 0 <= branch < self.n_branches:
+            raise ValueError(f"branch must be in [0, {self.n_branches})")
+        hankel = np.asarray(hankel, dtype=np.complex128)
+        u = self._interp_regressor(hankel, branch, np.conj(self.w_bar))
         return complex(np.vdot(self.v, u))
 
     def predict(self, r) -> complex:
@@ -233,15 +236,9 @@ class JidfFilter:
         scattered[self._idx[branch]] = w_bar
         return np.convolve(scattered, v)[: self.num_taps]
 
-    def _forward(self, r, d, hankel=None) -> _JidfForward:
-        """Pre-update outputs of every branch and the winner's gradients.
-
-        ``hankel`` is the regressor of ``r`` when the caller has built it
-        already (combination schemes build one per interpolator length and
-        share it between constituents); ``r`` is then not read.
-        """
-        if hankel is None:
-            hankel = self.regressor(r)
+    def _forward(self, r, d) -> _JidfForward:
+        """Pre-update outputs of every branch and the winner's gradients."""
+        hankel = self.regressor(r)
         v, w_bar = self.v, self.w_bar
         cw = np.conj(w_bar)
         y_all, e_all, r_bars = self._branch_outputs(hankel, d, cw)
@@ -251,7 +248,7 @@ class JidfFilter:
             e=complex(e_all[b]),
             b_opt=b,
             r_bar=r_bars[b],
-            u=hankel[self._idx[b]].T @ cw,
+            u=self._interp_regressor(hankel, b, cw),
             v=v,
             w_bar=w_bar,
         )
@@ -268,11 +265,9 @@ class JidfFilter:
         y_all = r_bars @ cw
         return y_all, complex(d) - y_all, r_bars
 
-    def _interp_regressor(self, hankel, branch: int) -> np.ndarray:
-        if not 0 <= branch < self.n_branches:
-            raise ValueError(f"branch must be in [0, {self.n_branches})")
-        hankel = np.asarray(hankel, dtype=np.complex128)
-        return hankel[self._idx[branch]].T @ np.conj(self.w_bar)
+    def _interp_regressor(self, hankel, branch: int, cw) -> np.ndarray:
+        # cw is conj(w_bar); hankel and branch are already checked
+        return hankel[self._idx[branch]].T @ cw
 
     def _check(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=np.complex128)

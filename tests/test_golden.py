@@ -7,8 +7,11 @@ unchanged; a deliberate change of the numbers recaptures them with::
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden_records.json
 
-and says why in the change log.  The digests were captured on x86-64 with
-numpy 2.4 and its bundled OpenBLAS; another BLAS may round differently.
+and says why in the change log.  The records go through BLAS products whose
+last bits depend on the numpy build, its BLAS and the CPU's vector units, so
+the file also keeps the platform the digests were captured on, and the
+comparison is skipped on any other platform.  The tolerance-based identity
+tests (c1, ``test_combiners``, ``test_filters``) are the portable guard.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import hashlib
 import json
 import os
 import pathlib
+import platform
 
 import numpy as np
 import pytest
@@ -48,6 +52,24 @@ def _digest(value) -> str:
     return h.hexdigest()
 
 
+def platform_fingerprint() -> dict[str, str]:
+    """The numpy build, BLAS and CPU that decide how the records round."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26 has no dict mode
+        blas = {}
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    return {
+        "numpy": np.__version__,
+        "blas": str(blas.get("openblas configuration", blas.get("name", "unknown"))),
+        "machine": platform.machine(),
+        "simd": " ".join(k for k in ("AVX2", "FMA3", "AVX512F") if __cpu_features__.get(k)),
+    }
+
+
 def record_digests(record: ExperimentRecord) -> dict[str, str]:
     return {
         f.name: _digest(getattr(record, f.name))
@@ -58,7 +80,11 @@ def record_digests(record: ExperimentRecord) -> dict[str, str]:
 
 @pytest.fixture(scope="module")
 def golden():
-    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    here = platform_fingerprint()
+    if golden["platform"] != here:
+        pytest.skip(f"digests were captured on {golden['platform']}, not {here}")
+    return golden["records"]
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -73,4 +99,5 @@ def test_record_fields_are_bit_identical(case, golden, monkeypatch):
 
 if __name__ == "__main__":
     os.environ["RRFILT_THREADS"] = "1"
-    print(json.dumps({c: record_digests(_record(c)) for c in CASES}, indent=1))
+    records = {c: record_digests(_record(c)) for c in CASES}
+    print(json.dumps({"platform": platform_fingerprint(), "records": records}, indent=1))
