@@ -9,8 +9,8 @@ filters
     Full-tap LMS and the reduced-rank interpolation/decimation/filtering
     (JIDF) LMS filter with per-step branch selection.
 combiners
-    Sigmoid convex combiners, the two-filter and four-filter tree schemes,
-    and the combined full-tap LMS baseline.
+    Sigmoid convex combiners and the mixing tree that joins constituent
+    filters: schemes A and B and the combined full-tap LMS baseline.
 cdma
     Downlink signal model: signatures, fading channel, received windows,
     clairvoyant MMSE receiver, QPSK slicer.
@@ -32,12 +32,10 @@ from .cdma import (
 )
 from .combiners import (
     Clms,
-    CombinedStep,
     Combiner,
     SchemeA,
     SchemeB,
-    equivalent_filter_scheme_a,
-    equivalent_filter_scheme_b,
+    equivalent_filter,
     sigmoid,
 )
 from .filters import FullRankLms, JidfFilter, StepResult
@@ -70,7 +68,6 @@ __all__ = [
     "CdmaConfig",
     "ClarkeChannel",
     "Clms",
-    "CombinedStep",
     "Combiner",
     "CombinerSteps",
     "ConfigError",
@@ -88,8 +85,7 @@ __all__ = [
     "build_hankel",
     "complexity_report",
     "detect_qpsk",
-    "equivalent_filter_scheme_a",
-    "equivalent_filter_scheme_b",
+    "equivalent_filter",
     "generate_decimation_patterns",
     "generate_received",
     "generate_signatures",

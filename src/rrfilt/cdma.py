@@ -22,6 +22,7 @@ with a random rotation, a random phase per oscillator.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -64,8 +65,10 @@ class CdmaConfig:
             raise ValueError("need one amplitude per user")
         if any(a < 0 for a in self.amplitudes):
             raise ValueError("amplitudes must be non-negative")
-        if self.doppler < 0:
-            raise ValueError("doppler must be non-negative")
+        if not (math.isfinite(self.doppler) and self.doppler >= 0):
+            raise ValueError("doppler must be finite and non-negative")
+        if math.isnan(self.snr_db) or self.snr_db == -math.inf:
+            raise ValueError("snr_db must be a number or +inf (noiseless)")
         self.path_profile_db = tuple(float(p) for p in self.path_profile_db)
 
     @property

@@ -1,28 +1,29 @@
-"""Sigmoid convex combiners and the tree-structured combination schemes.
+"""Sigmoid convex combiners and the mixing trees built from them.
 
-A combiner mixes two filter outputs as ``y = lam * y1 + (1 - lam) * y2`` with
+A combiner mixes two values as ``y = lam * y1 + (1 - lam) * y2`` with
 ``lam = sigmoid(u)`` adapted through the real auxiliary variable ``u``, so the
-mix stays strictly convex.  Scheme B combines two reduced-rank constituents
-through one combiner; scheme A combines four through a two-level tree
-(``a`` over constituents 1/2, ``b`` over 3/4, ``c`` over the pair outputs).
-The CLMS baseline applies the same combiner to two full-tap LMS filters.
+mix stays strictly convex.  Every combination scheme is one
+:class:`MixTree`: constituent filters plus a table of mixing nodes over value
+indices (constituents are ``0..L-1``, node ``k``'s output is ``L + k``).
+Scheme A mixes four reduced-rank constituents through nodes ``a`` (1/2),
+``b`` (3/4) and ``c`` (the two pair outputs); scheme B mixes two through one
+node ``c``; the CLMS baseline mixes two full-tap LMS filters through one
+node ``a``.
 
-Every constituent adapts with its own error; combiners adapt with the error
-of the output they produce.  All mixing values are read before any state
-moves, so one step sees a consistent snapshot.
+Every constituent adapts with its own error; each node adapts with the
+error of the output it produces.  All mixing values are read before any
+state moves, so one step sees a consistent snapshot.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .filters import FullRankLms, JidfFilter
+from .filters import FullRankLms, JidfFilter, StepResult
 
 
 class Diverged(ValueError):
@@ -50,9 +51,9 @@ class Combiner:
     """
 
     def __init__(self, mu: float, u_max: float = 4.0, u0: float = 0.0):
-        if mu < 0:
-            raise ValueError("mu must be non-negative")
-        if u_max <= 0:
+        if not mu >= 0:
+            raise ValueError("combiner step size mu must be non-negative")
+        if not u_max > 0:
             raise ValueError("u_max must be positive")
         self.mu = float(mu)
         self.u_max = float(u_max)
@@ -63,229 +64,151 @@ class Combiner:
         """Current mixing value ``lam = sigmoid(u)``."""
         return sigmoid(self.u)
 
-    def update(self, y1: complex, y2: complex, e: complex) -> None:
+    def update(self, y1: complex, y2: complex, e: complex, lam: float) -> None:
         """Gradient step on ``u`` for combined error ``e`` at this node.
 
+        ``lam`` is the node's current :attr:`mixing`, which the caller has
+        already read to form its output.
         ``u += mu * Re{conj(y1 - y2) * e} * lam * (1 - lam)``, then clip.
         The real part is the exact gradient of the squared combined error
         with respect to the real parameter ``u``.
         """
         if not (cmath.isfinite(y1) and cmath.isfinite(y2) and cmath.isfinite(e)):
             raise Diverged("combiner inputs must be finite")
-        lam = self.mixing
         grad = ((y1 - y2).conjugate() * e).real * lam * (1.0 - lam)
         self.u = float(min(max(self.u + self.mu * grad, -self.u_max), self.u_max))
 
 
-@dataclass
-class CombinedStep:
-    """Diagnostics of one combination-scheme step (pre-update quantities).
-
-    ``w_eq`` is the window-length filter equivalent to the scheme at this
-    step (``w_eq^H r == y``); it is built on first access, from the
-    pre-update coefficients the step keeps.
-    """
-
-    e: complex
-    outputs: tuple[complex, ...]
-    branches: tuple[int, ...] | None
-    lambda_a: float | None
-    lambda_b: float | None
-    lambda_c: float | None
-    _build_w_eq: Callable[[], np.ndarray] = field(repr=False, compare=False)
-
-    @cached_property
-    def w_eq(self) -> np.ndarray:
-        return self._build_w_eq()
+def _mix_equivalent(nodes, lams, leaf_eqs) -> np.ndarray:
+    """Sum of the leaf equivalent filters, each weighted by the product of
+    ``lam`` / ``1 - lam`` on its path from the root (the last node)."""
+    n = len(leaf_eqs)
+    weights = [0.0] * (n + len(nodes))
+    weights[-1] = 1.0
+    for k in reversed(range(len(nodes))):
+        _, _, i, j = nodes[k]
+        weights[i] = weights[n + k] * lams[k]
+        weights[j] = weights[n + k] * (1.0 - lams[k])
+    return sum(weight * eq for weight, eq in zip(weights, leaf_eqs))
 
 
-def _jidf_mix(filters, coeffs, states) -> np.ndarray:
-    """Mixing-weighted sum of the constituents' equivalent filters;
-    ``states`` gives each constituent's ``(branch, v, w_bar)``."""
-    w_eq = np.zeros(filters[0].num_taps, dtype=np.complex128)
-    for f, c, (b, v, w_bar) in zip(filters, coeffs, states):
-        w_eq += c * f._equivalent(b, v, w_bar)
-    return w_eq
-
-
-def _step_mix(filters, coeffs, fwds):
-    """Deferred ``w_eq`` of a reduced-rank scheme step.  Valid after the
-    commit because ``_commit`` rebinds the coefficient arrays."""
-    def build():
-        return _jidf_mix(filters, coeffs, ((f.b_opt, f.v, f.w_bar) for f in fwds))
-
-    return build
-
-
-def _tree_coeffs(la: float, lb: float, lc: float) -> tuple[float, ...]:
-    return (lc * la, lc * (1 - la), (1 - lc) * lb, (1 - lc) * (1 - lb))
-
-
-class SchemeB:
-    """Convex combination of two reduced-rank constituents."""
-
-    def __init__(self, filters: Sequence[JidfFilter], mu_c: float, u_max: float = 4.0):
-        filters = list(filters)
-        if len(filters) != 2:
-            raise ValueError("scheme B combines exactly two filters")
-        if filters[0].num_taps != filters[1].num_taps:
-            raise ValueError("constituents must share the window length")
-        self.filters = filters
-        self.combiner = Combiner(mu_c, u_max=u_max)
-
-    @property
-    def num_taps(self) -> int:
-        return self.filters[0].num_taps
-
-    def predict(self, r) -> complex:
-        lam = self.combiner.mixing
-        y1, y2 = (f.predict(r) for f in self.filters)
-        return lam * y1 + (1.0 - lam) * y2
-
-    def step(self, r, d) -> tuple[complex, CombinedStep]:
-        f1, f2 = self.filters
-        fwds = fwd1, fwd2 = f1._forward(r, d), f2._forward(r, d)
-        lam = self.combiner.mixing
-        y = lam * fwd1.y + (1.0 - lam) * fwd2.y
-        e = complex(d) - y
-        f1._commit(fwd1)
-        f2._commit(fwd2)
-        self.combiner.update(fwd1.y, fwd2.y, e)
-        diag = CombinedStep(
-            e=e,
-            outputs=(fwd1.y, fwd2.y),
-            branches=(fwd1.b_opt, fwd2.b_opt),
-            lambda_a=None,
-            lambda_b=None,
-            lambda_c=lam,
-            _build_w_eq=_step_mix(self.filters, (lam, 1.0 - lam), fwds),
-        )
-        return y, diag
-
-
-class SchemeA:
-    """Two-level tree of convex combinations over four reduced-rank
-    constituents: node ``a`` mixes filters 1/2, node ``b`` mixes 3/4 and node
-    ``c`` mixes the two pair outputs."""
-
-    def __init__(
-        self,
-        filters: Sequence[JidfFilter],
-        mu_a: float,
-        mu_b: float,
-        mu_c: float,
-        u_max: float = 4.0,
-    ):
-        filters = list(filters)
-        if len(filters) != 4:
-            raise ValueError("scheme A combines exactly four filters")
-        if len({f.num_taps for f in filters}) != 1:
-            raise ValueError("constituents must share the window length")
-        self.filters = filters
-        self.combiner_a = Combiner(mu_a, u_max=u_max)
-        self.combiner_b = Combiner(mu_b, u_max=u_max)
-        self.combiner_c = Combiner(mu_c, u_max=u_max)
-
-    @property
-    def num_taps(self) -> int:
-        return self.filters[0].num_taps
-
-    def predict(self, r) -> complex:
-        la, lb, lc = (
-            self.combiner_a.mixing,
-            self.combiner_b.mixing,
-            self.combiner_c.mixing,
-        )
-        y1, y2, y3, y4 = (f.predict(r) for f in self.filters)
-        return lc * (la * y1 + (1 - la) * y2) + (1 - lc) * (lb * y3 + (1 - lb) * y4)
-
-    def step(self, r, d) -> tuple[complex, CombinedStep]:
-        fwds = [f._forward(r, d) for f in self.filters]
-        la = self.combiner_a.mixing
-        lb = self.combiner_b.mixing
-        lc = self.combiner_c.mixing
-        y_a = la * fwds[0].y + (1.0 - la) * fwds[1].y
-        y_b = lb * fwds[2].y + (1.0 - lb) * fwds[3].y
-        y = lc * y_a + (1.0 - lc) * y_b
-        d = complex(d)
-        e = d - y
-        for f, fwd in zip(self.filters, fwds):
-            f._commit(fwd)
-        self.combiner_a.update(fwds[0].y, fwds[1].y, d - y_a)
-        self.combiner_b.update(fwds[2].y, fwds[3].y, d - y_b)
-        self.combiner_c.update(y_a, y_b, e)
-        diag = CombinedStep(
-            e=e,
-            outputs=tuple(f.y for f in fwds),
-            branches=tuple(f.b_opt for f in fwds),
-            lambda_a=la,
-            lambda_b=lb,
-            lambda_c=lc,
-            _build_w_eq=_step_mix(self.filters, _tree_coeffs(la, lb, lc), fwds),
-        )
-        return y, diag
-
-
-class Clms:
-    """Convex combination of two full-tap LMS filters (typically one fast,
-    one accurate)."""
-
-    def __init__(self, filters: Sequence[FullRankLms], mu_a: float, u_max: float = 4.0):
-        filters = list(filters)
-        if len(filters) != 2:
-            raise ValueError("the combined LMS baseline uses exactly two filters")
-        if filters[0].num_taps != filters[1].num_taps:
-            raise ValueError("constituents must share the window length")
-        self.filters = filters
-        self.combiner = Combiner(mu_a, u_max=u_max)
-
-    @property
-    def num_taps(self) -> int:
-        return self.filters[0].num_taps
-
-    def predict(self, r) -> complex:
-        lam = self.combiner.mixing
-        y1, y2 = (f.predict(r) for f in self.filters)
-        return lam * y1 + (1.0 - lam) * y2
-
-    def step(self, r, d) -> tuple[complex, CombinedStep]:
-        f1, f2 = self.filters
-        fwd1 = f1._forward(r, d)
-        fwd2 = f2._forward(r, d)
-        lam = self.combiner.mixing
-        y = lam * fwd1.y + (1.0 - lam) * fwd2.y
-        e = complex(d) - y
-        w1, w2 = f1.w, f2.w  # _commit rebinds w, so these stay pre-update
-        f1._commit(fwd1)
-        f2._commit(fwd2)
-        self.combiner.update(fwd1.y, fwd2.y, e)
-        diag = CombinedStep(
-            e=e,
-            outputs=(fwd1.y, fwd2.y),
-            branches=None,
-            lambda_a=lam,
-            lambda_b=None,
-            lambda_c=None,
-            _build_w_eq=lambda: lam * w1 + (1.0 - lam) * w2,
-        )
-        return y, diag
-
-
-def equivalent_filter_scheme_a(scheme: SchemeA) -> np.ndarray:
-    """Window-length filter currently equivalent to scheme A.
+def equivalent_filter(scheme: MixTree) -> np.ndarray:
+    """Window-length filter currently equivalent to a mixing tree.
 
     Mixing-weighted sum of the constituents' equivalent filters at their
     currently selected branches; satisfies ``w_eq^H r == predict(r)``.
     """
-    coeffs = _tree_coeffs(
-        scheme.combiner_a.mixing, scheme.combiner_b.mixing, scheme.combiner_c.mixing
-    )
-    states = ((f.last_b_opt, f.v, f.w_bar) for f in scheme.filters)
-    return _jidf_mix(scheme.filters, coeffs, states)
+    lams = [c.mixing for c in scheme.combiners]
+    return _mix_equivalent(scheme.nodes, lams, [f._equivalent() for f in scheme.filters])
 
 
-def equivalent_filter_scheme_b(scheme: SchemeB) -> np.ndarray:
-    """Window-length filter currently equivalent to scheme B."""
-    lam = scheme.combiner.mixing
-    states = ((f.last_b_opt, f.v, f.w_bar) for f in scheme.filters)
-    return _jidf_mix(scheme.filters, (lam, 1.0 - lam), states)
+class MixTree:
+    """Constituent filters joined by binary sigmoid mixing nodes.
+
+    Subclasses fix ``NODES``: one ``(record slot, left, right)`` entry per
+    node, children before parents, the root last.  The record slot (0, 1, 2
+    for nodes a, b, c) places the node's mixing value in
+    :attr:`StepResult.lambdas`.
+    """
+
+    NODES: tuple[tuple[int, int, int], ...] = ()
+
+    def __init__(self, filters: Sequence, mus: Sequence[float], u_max: float):
+        filters = list(filters)
+        if len(filters) != len(self.NODES) + 1:
+            raise ValueError(
+                f"{type(self).__name__} combines exactly {len(self.NODES) + 1} filters"
+            )
+        if len({f.num_taps for f in filters}) != 1:
+            raise ValueError("constituents must share the window length")
+        self.filters = filters
+        self.combiners = [Combiner(mu, u_max=u_max) for mu in mus]
+        # (combiner, record slot, left value index, right value index)
+        self.nodes = [(c, *node) for c, node in zip(self.combiners, self.NODES)]
+
+    @property
+    def num_taps(self) -> int:
+        return self.filters[0].num_taps
+
+    def predict(self, r) -> complex:
+        ys = [f.predict(r) for f in self.filters]
+        for c, _, i, j in self.nodes:
+            lam = c.mixing
+            ys.append(lam * ys[i] + (1.0 - lam) * ys[j])
+        return ys[-1]
+
+    def step(self, r, d) -> StepResult:
+        # plain loops, not comprehensions: this runs once per symbol
+        fwds, ys, branches = [], [], []
+        for f in self.filters:
+            fwd = f._forward(r, d)
+            fwds.append(fwd)
+            ys.append(fwd.y)
+            if fwd.b_opt is not None:
+                branches.append(fwd.b_opt)
+        outputs = tuple(ys)
+        lams, slots = [], [math.nan] * 3
+        for c, slot, i, j in self.nodes:
+            lam = c.mixing
+            lams.append(lam)
+            slots[slot] = lam
+            ys.append(lam * ys[i] + (1.0 - lam) * ys[j])
+        d = complex(d)
+        for f, fwd in zip(self.filters, fwds):
+            f._commit(fwd)
+        k = len(fwds)
+        for (c, _, i, j), lam in zip(self.nodes, lams):
+            c.update(ys[i], ys[j], d - ys[k], lam)
+            k += 1
+
+        def build_w_eq():
+            # valid after the commit: _commit rebinds the coefficient arrays
+            leaf_eqs = [f._equivalent(fwd) for f, fwd in zip(self.filters, fwds)]
+            return _mix_equivalent(self.nodes, lams, leaf_eqs)
+
+        y = ys[-1]
+        return StepResult(y, d - y, outputs, tuple(branches), tuple(slots), build_w_eq)
+
+
+# The three schemes fix their node tables.  Each keeps ``step`` and
+# ``predict`` in its own class dict, so the benchmark tracer can wrap them
+# per scheme.
+
+
+class SchemeA(MixTree):
+    """Two-level tree over four reduced-rank constituents: node ``a`` mixes
+    filters 1/2, node ``b`` mixes 3/4 and node ``c`` mixes the pair outputs."""
+
+    NODES = ((0, 0, 1), (1, 2, 3), (2, 4, 5))
+    step = MixTree.step
+    predict = MixTree.predict
+
+    def __init__(self, filters: Sequence[JidfFilter], mu_a: float, mu_b: float,
+                 mu_c: float, u_max: float = 4.0):
+        super().__init__(filters, (mu_a, mu_b, mu_c), u_max)
+        self.combiner_a, self.combiner_b, self.combiner_c = self.combiners
+
+
+class SchemeB(MixTree):
+    """Convex combination of two reduced-rank constituents (node ``c``)."""
+
+    NODES = ((2, 0, 1),)
+    step = MixTree.step
+    predict = MixTree.predict
+
+    def __init__(self, filters: Sequence[JidfFilter], mu_c: float, u_max: float = 4.0):
+        super().__init__(filters, (mu_c,), u_max)
+        (self.combiner,) = self.combiners
+
+
+class Clms(MixTree):
+    """Convex combination of two full-tap LMS filters (typically one fast,
+    one accurate) through node ``a``."""
+
+    NODES = ((0, 0, 1),)
+    step = MixTree.step
+    predict = MixTree.predict
+
+    def __init__(self, filters: Sequence[FullRankLms], mu_a: float, u_max: float = 4.0):
+        super().__init__(filters, (mu_a,), u_max)
+        (self.combiner,) = self.combiners

@@ -12,18 +12,24 @@ selection, and a short filter (the JIDF structure).  Shared conventions:
 * instances are single-owner state machines: one ``step`` at a time per
   instance, distinct instances independent.
 
-The ``_forward``/``_commit`` split lets combination schemes read every
+The ``_forward``/``_commit`` split lets mixing trees read every
 constituent's pre-update output (and this step's branch choice) before any
-coefficients move; ``step`` is the fused convenience path.  ``_commit``
-rebinds the coefficient arrays and never writes into them, so a forward
-record's references to the pre-update coefficients stay valid after the
-commit (combination schemes build their equivalent filter from them on
-demand).
+coefficients move; ``step`` is the fused path for a filter used alone.
+``_commit`` rebinds the coefficient arrays and never writes into them, so a
+forward record's references to the pre-update coefficients stay valid after
+the commit: ``_equivalent`` builds the step's equivalent filter from them on
+demand.
+
+Every adaptive scheme, a single filter or a mixing tree of them
+(:mod:`rrfilt.combiners`), returns the same :class:`StepResult`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -34,14 +40,32 @@ from .signalcore import (
 )
 
 
+_NO_MIXING = (math.nan, math.nan, math.nan)
+
+
 @dataclass
 class StepResult:
-    """One adaptation step: output, error, and (reduced-rank only) the
-    0-based index of the decimation branch that won the selection."""
+    """One adaptation step of an adaptive scheme (pre-update quantities).
+
+    ``outputs`` and ``branches`` hold each constituent filter's output and
+    the 0-based decimation branch that won its selection (``branches`` is
+    empty for full-tap LMS constituents); a filter used alone is its own
+    only constituent.  ``lambdas`` are the mixing values of nodes a, b and c,
+    NaN where the scheme has no such node.  ``w_eq`` is the window-length
+    filter equivalent to the scheme at this step (``w_eq^H r == y``); it is
+    built on first access, from the pre-update coefficients the step keeps.
+    """
 
     y: complex
     e: complex
-    b_opt: int | None = None
+    outputs: tuple[complex, ...]
+    branches: tuple[int, ...]
+    lambdas: tuple[float, float, float]
+    _build_w_eq: Callable[[], np.ndarray] = field(repr=False, compare=False)
+
+    @cached_property
+    def w_eq(self) -> np.ndarray:
+        return self._build_w_eq()
 
 
 @dataclass
@@ -49,6 +73,8 @@ class _LmsForward:
     y: complex
     e: complex
     r: np.ndarray
+    w: np.ndarray  # pre-update coefficients
+    b_opt = None  # full-tap filters select no branch
 
 
 @dataclass
@@ -76,7 +102,7 @@ class FullRankLms:
     def __init__(self, num_taps: int, mu: float):
         if num_taps < 1:
             raise ValueError("num_taps must be >= 1")
-        if mu < 0:
+        if not mu >= 0:
             raise ValueError("mu must be non-negative")
         self.num_taps = int(num_taps)
         self.mu = float(mu)
@@ -91,12 +117,16 @@ class FullRankLms:
         """Filter one sample and adapt: ``w += mu * conj(e) * r``."""
         fwd = self._forward(r, d)
         self._commit(fwd)
-        return StepResult(y=fwd.y, e=fwd.e)
+        return StepResult(fwd.y, fwd.e, (fwd.y,), (), _NO_MIXING, lambda: self._equivalent(fwd))
 
     def _forward(self, r, d) -> _LmsForward:
         r = self._check(r)
         y = complex(np.vdot(self.w, r))
-        return _LmsForward(y=y, e=complex(d) - y, r=r)
+        return _LmsForward(y=y, e=complex(d) - y, r=r, w=self.w)
+
+    def _equivalent(self, fwd: _LmsForward | None = None) -> np.ndarray:
+        """The coefficients themselves: current, or before ``fwd``'s step."""
+        return self.w if fwd is None else fwd.w
 
     def _commit(self, fwd: _LmsForward) -> None:
         self.w = self.w + self.mu * np.conj(fwd.e) * fwd.r
@@ -151,7 +181,7 @@ class JidfFilter:
     ):
         if interp_len < 1 or interp_len > num_taps:
             raise ValueError("interp_len must satisfy 1 <= interp_len <= num_taps")
-        if eta < 0 or mu < 0:
+        if not (eta >= 0 and mu >= 0):
             raise ValueError("step sizes must be non-negative")
         if patterns is None:
             patterns = generate_decimation_patterns(num_taps, rank, n_branches)
@@ -216,7 +246,9 @@ class JidfFilter:
         """Select a branch, filter one sample, and adapt both blocks."""
         fwd = self._forward(r, d)
         self._commit(fwd)
-        return StepResult(y=fwd.y, e=fwd.e, b_opt=fwd.b_opt)
+        return StepResult(
+            fwd.y, fwd.e, (fwd.y,), (fwd.b_opt,), _NO_MIXING, lambda: self._equivalent(fwd)
+        )
 
     def equivalent_reduced_filter(self, branch: int) -> np.ndarray:
         """Window-length filter equivalent to this structure on ``branch``.
@@ -227,11 +259,18 @@ class JidfFilter:
         """
         if not 0 <= branch < self.n_branches:
             raise ValueError(f"branch must be in [0, {self.n_branches})")
-        return self._equivalent(branch, self.v, self.w_bar)
+        return self._scatter_convolve(branch, self.v, self.w_bar)
 
     # -- internals ---------------------------------------------------------
 
-    def _equivalent(self, branch: int, v, w_bar) -> np.ndarray:
+    def _equivalent(self, fwd: _JidfForward | None = None) -> np.ndarray:
+        """Equivalent filter at the last selected branch, or before ``fwd``'s
+        step at the branch it selected."""
+        if fwd is None:
+            return self._scatter_convolve(self.last_b_opt, self.v, self.w_bar)
+        return self._scatter_convolve(fwd.b_opt, fwd.v, fwd.w_bar)
+
+    def _scatter_convolve(self, branch: int, v, w_bar) -> np.ndarray:
         scattered = np.zeros(self.num_taps, dtype=np.complex128)
         scattered[self._idx[branch]] = w_bar
         return np.convolve(scattered, v)[: self.num_taps]

@@ -15,6 +15,9 @@ parallel).  Supported schemes:
 ``mmse``        clairvoyant MMSE filter recomputed every symbol
 ==============  ==============================================================
 
+Every adaptive scheme runs through the same ``step(r, d)`` call; the
+non-adaptive MMSE oracle is the only other path.
+
 Training is supervised by default (the desired response is the true symbol
 for the whole packet; errors are still counted on the slicer decisions).
 ``train_mode: semi`` switches to decision-directed operation after
@@ -29,11 +32,13 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import math
 import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import yaml
@@ -50,9 +55,27 @@ from .cdma import (
 from .combiners import Clms, Diverged, SchemeA, SchemeB
 from .filters import FullRankLms, JidfFilter
 
-SCHEMES = ("fullrank", "clms", "jidf", "scheme_a", "scheme_b", "mmse")
-_BRANCH_COUNT = {"fullrank": 1, "clms": 2, "jidf": 1, "scheme_a": 4, "scheme_b": 2, "mmse": 0}
-_JIDF_FAMILY = ("jidf", "scheme_a", "scheme_b")
+
+class _Scheme(NamedTuple):
+    constituents: int
+    reduced_rank: bool
+    tree: type | None = None  # mixing tree over the constituents, if any
+
+    @property
+    def slots(self) -> tuple[int, ...]:
+        """Record slots (0, 1, 2 for nodes a, b, c) of the mixing nodes."""
+        return tuple(slot for slot, _, _ in self.tree.NODES) if self.tree else ()
+
+
+_SCHEMES = {
+    "fullrank": _Scheme(1, False),
+    "clms": _Scheme(2, False, Clms),
+    "jidf": _Scheme(1, True),
+    "scheme_a": _Scheme(4, True, SchemeA),
+    "scheme_b": _Scheme(2, True, SchemeB),
+    "mmse": _Scheme(0, False),
+}
+SCHEMES = tuple(_SCHEMES)
 
 
 class ConfigError(ValueError):
@@ -107,29 +130,24 @@ class ExperimentConfig:
             raise ConfigError("train_mode must be 'supervised' or 'semi'")
         if self.train_mode == "semi" and self.train_symbols < 0:
             raise ConfigError("train_symbols must be >= 0")
-        expected = _BRANCH_COUNT[self.scheme]
-        if len(self.branches) != expected:
+        if not (math.isfinite(self.u_max) and self.u_max > 0):
+            raise ConfigError("u_max must be positive and finite")
+        spec = _SCHEMES[self.scheme]
+        if len(self.branches) != spec.constituents:
             raise ConfigError(
-                f"scheme {self.scheme!r} needs exactly {expected} branch entries, "
-                f"got {len(self.branches)}"
+                f"scheme {self.scheme!r} needs exactly {spec.constituents} branch "
+                f"entries, got {len(self.branches)}"
             )
-        if self.scheme in _JIDF_FAMILY:
-            if self.n_branches < 1:
-                raise ConfigError("n_branches must be >= 1")
-            for i, b in enumerate(self.branches):
-                if b.rank is None or b.interp_len is None or b.eta is None:
-                    raise ConfigError(
-                        f"branch {i}: reduced-rank constituents need rank, "
-                        "interp_len, eta and mu"
-                    )
-        else:
-            for i, b in enumerate(self.branches):
-                if not (b.rank is None and b.interp_len is None and b.eta is None):
-                    raise ConfigError(
-                        f"branch {i}: scheme {self.scheme!r} constituents take only mu"
-                    )
-        if self.u_max <= 0:
-            raise ConfigError("u_max must be positive")
+        takes = "rank, interp_len, eta and mu" if spec.reduced_rank else "only mu"
+        for i, b in enumerate(self.branches):
+            # rank, interp_len and eta are given exactly for reduced-rank filters
+            if [v is not None for v in (b.rank, b.interp_len, b.eta)] != [spec.reduced_rank] * 3:
+                raise ConfigError(f"branch {i}: scheme {self.scheme!r} constituents take {takes}")
+        if spec.constituents:
+            try:
+                _build_scheme(self)
+            except ValueError as exc:
+                raise ConfigError(f"scheme {self.scheme!r}: {exc}") from exc
 
 
 @dataclass
@@ -169,12 +187,12 @@ _TOP_KEYS = {
     "train_symbols", "n_branches", "branches", "combiners", "u_max", "out",
 }
 _CDMA_KEYS = {"users", "chips", "paths", "snr_db", "doppler", "amplitudes", "path_profile_db"}
-_BRANCH_KEYS = {"mu", "rank", "interp_len", "eta"}
+_BRANCH_KEYS = {"mu": float, "rank": int, "interp_len": int, "eta": float}
 _COMBINER_KEYS = {"mu_a", "mu_b", "mu_c"}
 
 
-def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
-    unknown = set(mapping) - allowed
+def _reject_unknown(mapping: dict, allowed, where: str) -> None:
+    unknown = set(mapping).difference(allowed)
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
 
@@ -210,26 +228,17 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         if not isinstance(entry, dict):
             raise ConfigError(f"branch {i} must be a mapping")
         _reject_unknown(entry, _BRANCH_KEYS, f"branch {i}")
-        if "mu" not in entry:
+        if entry.get("mu") is None:
             raise ConfigError(f"branch {i} needs a mu")
-        branches.append(
-            BranchParams(
-                mu=float(entry["mu"]),
-                rank=None if entry.get("rank") is None else int(entry["rank"]),
-                interp_len=None if entry.get("interp_len") is None else int(entry["interp_len"]),
-                eta=None if entry.get("eta") is None else float(entry["eta"]),
-            )
-        )
+        branches.append(BranchParams(**{
+            k: None if v is None else _BRANCH_KEYS[k](v) for k, v in entry.items()
+        }))
 
     comb_data = data.get("combiners", {}) or {}
     if not isinstance(comb_data, dict):
         raise ConfigError("combiners section must be a mapping")
     _reject_unknown(comb_data, _COMBINER_KEYS, "combiners")
-    combiners = CombinerSteps(
-        mu_a=float(comb_data.get("mu_a", 0.25)),
-        mu_b=float(comb_data.get("mu_b", 0.25)),
-        mu_c=float(comb_data.get("mu_c", 0.25)),
-    )
+    combiners = CombinerSteps(**{k: float(v) for k, v in comb_data.items()})
 
     cfg = ExperimentConfig(
         scheme=str(data["scheme"]),
@@ -288,10 +297,11 @@ def complexity_report(
         return 2 * m, 2 * m + 1
     if scheme == "clms":
         return 4 * m + 5, 4 * m + 6
-    if scheme in _JIDF_FAMILY:
+    spec = _SCHEMES.get(scheme)
+    if spec is not None and spec.reduced_rank:
         interp_lens = [int(i) for i in interp_lens]
         ranks = [int(d) for d in ranks]
-        expected = _BRANCH_COUNT[scheme]
+        expected = spec.constituents
         if len(interp_lens) != expected or len(ranks) != expected:
             raise ValueError(
                 f"scheme {scheme!r} needs {expected} interpolator lengths and ranks"
@@ -323,24 +333,21 @@ def _record_complexity(cfg: ExperimentConfig) -> tuple[int, int] | None:
 
 
 def _build_scheme(cfg: ExperimentConfig):
+    """The configured adaptive scheme: one filter, or a mixing tree whose
+    nodes take the step sizes of their slots (``mu_a``, ``mu_b``, ``mu_c``)."""
     m = cfg.cdma.window_len
-    if cfg.scheme == "fullrank":
-        return FullRankLms(m, cfg.branches[0].mu)
-    if cfg.scheme == "clms":
-        lms = [FullRankLms(m, b.mu) for b in cfg.branches]
-        return Clms(lms, cfg.combiners.mu_a, u_max=cfg.u_max)
-    jidf = [
-        JidfFilter(m, b.interp_len, b.rank, cfg.n_branches, b.eta, b.mu)
-        for b in cfg.branches
-    ]
-    if cfg.scheme == "jidf":
-        return jidf[0]
-    if cfg.scheme == "scheme_b":
-        return SchemeB(jidf, cfg.combiners.mu_c, u_max=cfg.u_max)
-    return SchemeA(
-        jidf, cfg.combiners.mu_a, cfg.combiners.mu_b, cfg.combiners.mu_c,
-        u_max=cfg.u_max,
-    )
+    spec = _SCHEMES[cfg.scheme]
+    if spec.reduced_rank:
+        filters = [
+            JidfFilter(m, b.interp_len, b.rank, cfg.n_branches, b.eta, b.mu)
+            for b in cfg.branches
+        ]
+    else:
+        filters = [FullRankLms(m, b.mu) for b in cfg.branches]
+    if spec.tree is None:
+        return filters[0]
+    steps = (cfg.combiners.mu_a, cfg.combiners.mu_b, cfg.combiners.mu_c)
+    return spec.tree(filters, *(steps[s] for s in spec.slots), u_max=cfg.u_max)
 
 
 @dataclass
@@ -389,31 +396,14 @@ def _single_run(cfg: ExperimentConfig, run_idx: int) -> _RunResult:
                     y = complex(np.vdot(w, r))
                     d = desired_user[i] if i < supervised_until else detect_qpsk(y)
                     e = d - y
-                elif cfg.scheme in ("fullrank", "jidf"):
-                    if i < supervised_until:
-                        d = desired_user[i]
-                    else:
-                        d = detect_qpsk(scheme.predict(r))
+                else:
+                    d = desired_user[i] if i < supervised_until else detect_qpsk(scheme.predict(r))
                     res = scheme.step(r, d)
                     y, e = res.y, res.e
-                    if res.b_opt is not None:
-                        b_opt[i] = res.b_opt
-                        branch_hist[res.b_opt] += 1
-                else:
-                    if i < supervised_until:
-                        d = desired_user[i]
-                    else:
-                        d = detect_qpsk(scheme.predict(r))
-                    y, diag = scheme.step(r, d)
-                    e = diag.e
-                    for slot, val in enumerate(
-                        (diag.lambda_a, diag.lambda_b, diag.lambda_c)
-                    ):
-                        if val is not None:
-                            lambdas[i, slot] = val
-                    if diag.branches is not None:
-                        b_opt[i] = diag.branches[0]
-                        for br in diag.branches:
+                    lambdas[i] = res.lambdas
+                    if res.branches:
+                        b_opt[i] = res.branches[0]
+                        for br in res.branches:
                             branch_hist[br] += 1
             except Diverged:
                 # the combiner's finiteness guard trips on diverged constituents
@@ -468,9 +458,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
     good = [r for r in runs if not r.diverged]
     diverged = cfg.n_runs - len(good)
     n = cfg.n_symbols
-    has_lambda = {"clms": (True, False, False), "scheme_b": (False, False, True),
-                  "scheme_a": (True, True, True)}.get(cfg.scheme, (False, False, False))
-    has_branches = cfg.scheme in _JIDF_FAMILY
+    spec = _SCHEMES[cfg.scheme]
 
     if good:
         err_counts = np.sum([r.errors for r in good], axis=0).astype(np.float64)
@@ -481,7 +469,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
         per_run = np.array(
             [r.errors.sum() / n if not r.diverged else np.nan for r in runs]
         )
-        if has_branches:
+        if spec.reduced_rank:
             stacked = np.stack([r.b_opt for r in good])  # (runs, n)
             counts = np.zeros((cfg.n_branches, n), dtype=np.int64)
             cols = np.broadcast_to(np.arange(n), stacked.shape)
@@ -504,11 +492,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
         diverged_runs=diverged,
         cumulative_ber=cumulative,
         mse=mse,
-        lambda_a=lam[:, 0] if has_lambda[0] else None,
-        lambda_b=lam[:, 1] if has_lambda[1] else None,
-        lambda_c=lam[:, 2] if has_lambda[2] else None,
+        lambda_a=lam[:, 0] if 0 in spec.slots else None,
+        lambda_b=lam[:, 1] if 1 in spec.slots else None,
+        lambda_c=lam[:, 2] if 2 in spec.slots else None,
         b_opt_mode=mode,
-        branch_hist=hist if has_branches else None,
+        branch_hist=hist if spec.reduced_rank else None,
         per_run_ber=per_run,
         final_ber=float(cumulative[-1]) if n else float("nan"),
         wall_time=time.perf_counter() - t0,
@@ -519,13 +507,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
 def snr_sweep(cfg: ExperimentConfig, snr_list) -> list[ExperimentRecord]:
     """Repeat the experiment at each SNR point with shared per-run seeds,
     so points are directly comparable (common random numbers)."""
-    records = []
+    points = []
     for snr in snr_list:
-        point = dataclasses.replace(
-            cfg, cdma=dataclasses.replace(cfg.cdma, snr_db=float(snr))
-        )
-        records.append(run_experiment(point))
-    return records
+        try:
+            cdma = dataclasses.replace(cfg.cdma, snr_db=float(snr))
+        except ValueError as exc:
+            raise ConfigError(f"SNR point {snr!r}: {exc}") from exc
+        points.append(dataclasses.replace(cfg, cdma=cdma))
+    return [run_experiment(point) for point in points]
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +596,10 @@ def _cmd_run(args) -> None:
 
 def _cmd_sweep(args) -> None:
     cfg = _cli_config(args)
-    snr_list = [float(s) for s in args.snr.split(",") if s.strip()]
+    try:
+        snr_list = [float(s) for s in args.snr.split(",") if s.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"--snr: {exc}") from None
     if not snr_list:
         raise ConfigError("--snr needs at least one value")
     records = snr_sweep(cfg, snr_list)

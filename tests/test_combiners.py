@@ -13,8 +13,7 @@ from rrfilt.combiners import (
     Combiner,
     SchemeA,
     SchemeB,
-    equivalent_filter_scheme_a,
-    equivalent_filter_scheme_b,
+    equivalent_filter,
     sigmoid,
 )
 from rrfilt.filters import FullRankLms, JidfFilter
@@ -52,17 +51,17 @@ class TestSigmoid:
 class TestCombiner:
     def test_equal_outputs_leave_u_unchanged(self):
         c = Combiner(mu=0.5)
-        c.update(1 + 2j, 1 + 2j, 0.7 - 0.1j)
+        c.update(1 + 2j, 1 + 2j, 0.7 - 0.1j, c.mixing)
         assert c.u == 0.0
 
     def test_zero_error_leaves_u_unchanged(self):
         c = Combiner(mu=0.5, u0=1.0)
-        c.update(1.0, -1.0, 0.0)
+        c.update(1.0, -1.0, 0.0, c.mixing)
         assert c.u == 1.0
 
     def test_hand_computed_update(self):
         c = Combiner(mu=0.25)
-        c.update(1.0, 0.5, 0.2)
+        c.update(1.0, 0.5, 0.2, c.mixing)
         assert c.u == pytest.approx(0.00625, abs=1e-15)
 
     def test_clipping_bound_is_respected(self):
@@ -71,14 +70,14 @@ class TestCombiner:
         for _ in range(200):
             c.update(complex(*rng.standard_normal(2)),
                      complex(*rng.standard_normal(2)),
-                     complex(*rng.standard_normal(2)))
+                     complex(*rng.standard_normal(2)), c.mixing)
             assert -4.0 <= c.u <= 4.0
             assert 0.0 < c.mixing < 1.0
 
     def test_rejects_non_finite(self):
         c = Combiner(mu=0.5)
         with pytest.raises(ValueError):
-            c.update(np.inf, 0.0, 0.0)
+            c.update(np.inf, 0.0, 0.0, c.mixing)
 
     def test_gradient_matches_finite_difference(self):
         # update term vs the derivative of half the squared combined error,
@@ -114,9 +113,10 @@ class TestSchemeB:
         f1.w_bar = f2.w_bar = np.array([0.3, -0.2j, 1.0], dtype=complex)
         scheme = SchemeB([f1, f2], mu_c=0.25)
         r = _random_complex(rng, 6)
-        y, diag = scheme.step(r, 1.0)
+        diag = scheme.step(r, 1.0)
+        y = diag.y
         assert y == pytest.approx(diag.outputs[0], rel=1e-12)
-        assert diag.lambda_c == 0.5
+        assert diag.lambdas[2] == 0.5
 
     def test_output_matches_equivalent_filter_during_adaptation(self):
         rng = np.random.default_rng(3)
@@ -125,7 +125,8 @@ class TestSchemeB:
         for _ in range(200):
             r = _random_complex(rng, 8)
             d = np.vdot(plant, r) + 0.1 * complex(*rng.standard_normal(2))
-            y, diag = scheme.step(r, d)
+            diag = scheme.step(r, d)
+            y = diag.y
             assert abs(y - np.vdot(diag.w_eq, r)) <= 1e-10 * (1 + abs(y))
 
     def test_standalone_equivalent_filter_predicts(self):
@@ -133,7 +134,7 @@ class TestSchemeB:
         scheme = self._make(rng)
         for _ in range(20):
             scheme.step(_random_complex(rng, 8), complex(rng.standard_normal()))
-        w_eq = equivalent_filter_scheme_b(scheme)
+        w_eq = equivalent_filter(scheme)
         for _ in range(100):
             r = _random_complex(rng, 8)
             y = scheme.predict(r)
@@ -144,7 +145,8 @@ class TestSchemeB:
         scheme = self._make(rng)
         scheme.combiner.u = scheme.combiner.u_max
         r = _random_complex(rng, 8)
-        y, diag = scheme.step(r, 0.5)
+        diag = scheme.step(r, 0.5)
+        y = diag.y
         slack = (1 - sigmoid(scheme.combiner.u_max)) * (
             abs(diag.outputs[0]) + abs(diag.outputs[1])
         )
@@ -193,9 +195,10 @@ class TestSchemeA:
             f.w_bar = np.array([0.5, 0.1j, -1.0], dtype=complex)
         scheme = SchemeA(filters, mu_a=0.25, mu_b=0.25, mu_c=0.25)
         r = _random_complex(rng, 6)
-        y, diag = scheme.step(r, 1.0)
+        diag = scheme.step(r, 1.0)
+        y = diag.y
         assert y == pytest.approx(diag.outputs[0], rel=1e-12)
-        assert diag.lambda_a == diag.lambda_b == diag.lambda_c == 0.5
+        assert diag.lambdas[0] == diag.lambdas[1] == diag.lambdas[2] == 0.5
 
     def test_endpoint_selects_first_constituent(self):
         rng = np.random.default_rng(8)
@@ -203,7 +206,8 @@ class TestSchemeA:
         scheme.combiner_a.u = scheme.combiner_a.u_max
         scheme.combiner_c.u = scheme.combiner_c.u_max
         r = _random_complex(rng, 8)
-        y, diag = scheme.step(r, 0.2)
+        diag = scheme.step(r, 0.2)
+        y = diag.y
         slack = (1 - sigmoid(4.0)) * sum(abs(o) for o in diag.outputs) * 2
         assert abs(y - diag.outputs[0]) <= slack + 1e-12
 
@@ -214,7 +218,8 @@ class TestSchemeA:
         for _ in range(200):
             r = _random_complex(rng, 8)
             d = np.vdot(plant, r) + 0.1 * complex(*rng.standard_normal(2))
-            y, diag = scheme.step(r, d)
+            diag = scheme.step(r, d)
+            y = diag.y
             assert abs(y - np.vdot(diag.w_eq, r)) <= 1e-10 * (1 + abs(y))
 
     def test_standalone_equivalent_filter_predicts(self):
@@ -222,7 +227,7 @@ class TestSchemeA:
         scheme = self._make(rng)
         for _ in range(20):
             scheme.step(_random_complex(rng, 8), complex(rng.standard_normal()))
-        w_eq = equivalent_filter_scheme_a(scheme)
+        w_eq = equivalent_filter(scheme)
         for _ in range(100):
             r = _random_complex(rng, 8)
             y = scheme.predict(r)
@@ -233,7 +238,7 @@ class TestSchemeA:
         for f in filters:
             f.w_bar[:] = 0
         scheme = SchemeA(filters, mu_a=0.25, mu_b=0.25, mu_c=0.25)
-        assert_array_equal(equivalent_filter_scheme_a(scheme), np.zeros(6))
+        assert_array_equal(equivalent_filter(scheme), np.zeros(6))
 
     def test_requires_four_filters(self):
         with pytest.raises(ValueError):
@@ -249,7 +254,8 @@ class TestClms:
         f2.w = w.copy()
         scheme = Clms([f1, f2], mu_a=0.25)
         r = _random_complex(rng, 6)
-        y, diag = scheme.step(r, 1.0)
+        diag = scheme.step(r, 1.0)
+        y = diag.y
         assert y == pytest.approx(diag.outputs[0], rel=1e-12)
         assert scheme.combiner.u == 0.0  # zero gradient at y1 == y2
 
@@ -261,7 +267,8 @@ class TestClms:
         scheme = Clms([f1, f2], mu_a=0.25)
         scheme.combiner.u = scheme.combiner.u_max
         r = _random_complex(rng, 6)
-        y, diag = scheme.step(r, 0.0)
+        diag = scheme.step(r, 0.0)
+        y = diag.y
         slack = (1 - sigmoid(4.0)) * (abs(diag.outputs[0]) + abs(diag.outputs[1]))
         assert abs(y - diag.outputs[0]) <= slack + 1e-12
 
@@ -272,8 +279,20 @@ class TestClms:
         for _ in range(100):
             r = _random_complex(rng, 6)
             d = complex(*rng.standard_normal(2))
-            y, diag = scheme.step(r, d)
+            diag = scheme.step(r, d)
+            y = diag.y
             assert abs(y - np.vdot(diag.w_eq, r)) <= 1e-10 * (1 + abs(y))
+
+    def test_standalone_equivalent_filter_predicts(self):
+        rng = np.random.default_rng(16)
+        scheme = Clms([FullRankLms(6, 0.08), FullRankLms(6, 0.01)], mu_a=0.25)
+        for _ in range(20):
+            scheme.step(_random_complex(rng, 6), complex(rng.standard_normal()))
+        w_eq = equivalent_filter(scheme)
+        for _ in range(100):
+            r = _random_complex(rng, 6)
+            y = scheme.predict(r)
+            assert abs(y - np.vdot(w_eq, r)) <= 1e-10 * (1 + abs(y))
 
     def test_combined_steady_state_not_worse_than_either_filter(self):
         # stationary plant: the combination should track the better filter
@@ -288,7 +307,8 @@ class TestClms:
             d = np.vdot(plant, r) + 0.1 * complex(*rng.standard_normal(2))
             y1 = scheme.filters[0].predict(r)
             y2 = scheme.filters[1].predict(r)
-            y, diag = scheme.step(r, d)
+            diag = scheme.step(r, d)
+            y = diag.y
             if i >= n - tail:
                 e_comb.append(abs(d - y) ** 2)
                 e_f1.append(abs(d - y1) ** 2)
@@ -309,22 +329,39 @@ class TestMixingBounds:
         for _ in range(500):
             r = _random_complex(rng, 8)
             d = complex(*rng.standard_normal(2))
-            _, diag = scheme.step(r, d)
-            assert lo <= diag.lambda_c <= hi
+            diag = scheme.step(r, d)
+            assert lo <= diag.lambdas[2] <= hi
+
+
+# (record slot, left value index, right value index) per mixing node, root
+# last; written out here independently of the schemes' own tables
+_TREES = {
+    "clms": ((0, 0, 1),),
+    "scheme_b": ((2, 0, 1),),
+    "scheme_a": ((0, 0, 1), (1, 2, 3), (2, 4, 5)),
+}
 
 
 class TestConstituentSteps:
     """Inside a scheme step every constituent must take exactly the step it
-    takes alone: the schemes' forward/commit split may change no bit."""
+    takes alone, and the mixing arithmetic must be the closed form.  Values
+    are compared by ``repr``, so the guard holds bit for bit on any
+    platform."""
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_constituents_match_standalone_steps_bit_for_bit(self, data):
         m = data.draw(st.integers(1, 12), label="num_taps")
-        n_filters = data.draw(st.sampled_from([2, 4]), label="constituents")
+        kind = data.draw(st.sampled_from(sorted(_TREES)), label="scheme")
+        tree = _TREES[kind]
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         filters = []
-        for _ in range(n_filters):
+        for _ in range(len(tree) + 1):
+            if kind == "clms":
+                f = FullRankLms(m, mu=float(rng.uniform(0, 0.2)))
+                f.w = _random_complex(rng, m)
+                filters.append(f)
+                continue
             rank = data.draw(st.integers(1, m), label="rank")
             n_branches = data.draw(
                 st.integers(1, m - (rank - 1) * (m // rank)), label="branches"
@@ -336,18 +373,43 @@ class TestConstituentSteps:
             _randomize(f, rng).last_b_opt = int(rng.integers(n_branches))
             filters.append(f)
         solos = copy.deepcopy(filters)
-        if n_filters == 2:
-            scheme = SchemeB(filters, mu_c=0.25)
+        u_max = data.draw(st.floats(0.5, 8.0), label="u_max")
+        mus = [float(rng.uniform(0, 2)) for _ in tree]
+        if kind == "clms":
+            scheme = Clms(filters, *mus, u_max=u_max)
+            nodes = [scheme.combiner]
+        elif kind == "scheme_b":
+            scheme = SchemeB(filters, *mus, u_max=u_max)
+            nodes = [scheme.combiner]
         else:
-            scheme = SchemeA(filters, mu_a=0.25, mu_b=0.25, mu_c=0.25)
+            scheme = SchemeA(filters, *mus, u_max=u_max)
+            nodes = [scheme.combiner_a, scheme.combiner_b, scheme.combiner_c]
+        for c in nodes:
+            c.u = float(rng.uniform(-u_max, u_max))
         for _ in range(3):
             r = _random_complex(rng, m)
             d = complex(*rng.standard_normal(2))
-            _, diag = scheme.step(r, d)
+            u_before = [c.u for c in nodes]
+            diag = scheme.step(r, d)
             for j, solo in enumerate(solos):
                 res = solo.step(r, d)
                 assert repr(diag.outputs[j]) == repr(res.y)
-                assert diag.branches[j] == res.b_opt
+                assert diag.branches[j:j + 1] == res.branches
             for f, solo in zip(filters, solos):
-                assert_array_equal(f.v, solo.v)
-                assert_array_equal(f.w_bar, solo.w_bar)
+                if kind == "clms":
+                    assert_array_equal(f.w, solo.w)
+                else:
+                    assert_array_equal(f.v, solo.v)
+                    assert_array_equal(f.w_bar, solo.w_bar)
+            ys = list(diag.outputs)
+            lambdas = [np.nan] * 3
+            for (slot, i, j), c, u in zip(tree, nodes, u_before):
+                lam = sigmoid(u)
+                y_node = lam * ys[i] + (1 - lam) * ys[j]
+                grad = ((ys[i] - ys[j]).conjugate() * (d - y_node)).real * lam * (1 - lam)
+                assert repr(c.u) == repr(min(max(u + c.mu * grad, -u_max), u_max))
+                ys.append(y_node)
+                lambdas[slot] = lam
+            assert repr(diag.y) == repr(ys[-1])
+            assert repr(diag.e) == repr(d - ys[-1])
+            assert repr(diag.lambdas) == repr(tuple(lambdas))

@@ -68,7 +68,7 @@ class TestBranchSelection:
         f = JidfFilter(6, 2, 3, 1, eta=0.01, mu=0.05)
         rng = np.random.default_rng(3)
         res = f.step(_random_complex(rng, 6), 1.0)
-        assert res.b_opt == 0
+        assert res.branches[0] == 0
 
     def test_matches_exhaustive_enumeration(self):
         rng = np.random.default_rng(4)

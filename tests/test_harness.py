@@ -2,9 +2,12 @@
 
 import csv
 import dataclasses
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from numpy.testing import assert_array_equal
 
 from rrfilt.cdma import CdmaConfig
@@ -25,6 +28,7 @@ from rrfilt.harness import (
     write_sweep_csv,
 )
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 TINY_CDMA = dict(n_users=2, n_chips=8, n_paths=3, snr_db=12.0, doppler=1e-3)
 
 
@@ -407,3 +411,55 @@ branches:
         # explicit --out wins over the config key
         assert main(["run", "--config", str(cfg), "--out", "explicit.csv"]) == 0
         assert (tmp_path / "explicit.csv").exists()
+
+
+# edits of configs/scheme_b.yaml whose values the filter or combiner
+# constructors reject
+_CONSTRUCTOR_REJECTS = {
+    "rank": lambda c: c["branches"][0].update(rank=99),
+    "interp_len": lambda c: c["branches"][0].update(interp_len=99),
+    "n_branches": lambda c: c.update(n_branches=40),
+    "branch_mu": lambda c: c["branches"][0].update(mu=-1),
+    "mu_c": lambda c: c.update(combiners={"mu_c": -1}),
+}
+_NON_FINITE = {
+    "u_max_nan": lambda c: c.update(u_max=math.nan),
+    "snr_db_nan": lambda c: c["cdma"].update(snr_db=math.nan),
+    "snr_db_minus_inf": lambda c: c["cdma"].update(snr_db=-math.inf),
+    "doppler_nan": lambda c: c["cdma"].update(doppler=math.nan),
+    "doppler_inf": lambda c: c["cdma"].update(doppler=math.inf),
+    "branch_mu_nan": lambda c: c["branches"][0].update(mu=math.nan),
+    "branch_eta_nan": lambda c: c["branches"][1].update(eta=math.nan),
+    "mu_c_nan": lambda c: c.update(combiners={"mu_c": math.nan}),
+}
+
+
+class TestCliRejectsBadValues:
+    def _edited(self, tmp_path, edit):
+        data = yaml.safe_load((CONFIGS / "scheme_b.yaml").read_text())
+        data.update(n_symbols=60, n_runs=1)
+        edit(data)
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(data))
+        return path
+
+    @pytest.mark.parametrize(
+        "edit", list(_CONSTRUCTOR_REJECTS.values()) + list(_NON_FINITE.values()),
+        ids=list(_CONSTRUCTOR_REJECTS) + list(_NON_FINITE),
+    )
+    def test_reported_as_config_error(self, tmp_path, capsys, edit):
+        cfg = self._edited(tmp_path, edit)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_noiseless_snr_still_runs(self, tmp_path, capsys):
+        cfg = self._edited(tmp_path, lambda c: c["cdma"].update(snr_db=math.inf))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 0
+        assert "(diverged=0)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("snr", ["nan", "-inf", "abc"])
+    def test_bad_sweep_point_reported(self, tmp_path, capsys, snr):
+        cfg = self._edited(tmp_path, lambda c: None)
+        assert main(["sweep", "--config", str(cfg), "--snr", f"10,{snr}"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
