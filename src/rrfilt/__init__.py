@@ -27,7 +27,6 @@ from .cdma import (
     detect_qpsk,
     generate_received,
     generate_signatures,
-    mmse_filter,
     qpsk_symbols,
 )
 from .combiners import (
@@ -92,7 +91,6 @@ __all__ = [
     "interpolate",
     "interpolation_matrix",
     "load_config",
-    "mmse_filter",
     "qpsk_symbols",
     "run_experiment",
     "sigmoid",

@@ -63,13 +63,20 @@ class CdmaConfig:
             self.amplitudes = tuple(float(a) for a in self.amplitudes)
         if len(self.amplitudes) != self.n_users:
             raise ValueError("need one amplitude per user")
-        if any(a < 0 for a in self.amplitudes):
-            raise ValueError("amplitudes must be non-negative")
+        if not all(math.isfinite(a) and a >= 0 for a in self.amplitudes):
+            raise ValueError("amplitudes must be finite and non-negative")
         if not (math.isfinite(self.doppler) and self.doppler >= 0):
             raise ValueError("doppler must be finite and non-negative")
         if math.isnan(self.snr_db) or self.snr_db == -math.inf:
             raise ValueError("snr_db must be a number or +inf (noiseless)")
         self.path_profile_db = tuple(float(p) for p in self.path_profile_db)
+        with np.errstate(over="ignore"):  # the channel normalizes by this sum
+            total = (10.0 ** (np.asarray(self.path_profile_db) / 10.0)).sum()
+        if not (all(map(math.isfinite, self.path_profile_db)) and 0 < total < math.inf):
+            raise ValueError(
+                "path_profile_db must list finite dB values with a finite, "
+                "positive total power"
+            )
 
     @property
     def window_len(self) -> int:
@@ -307,6 +314,12 @@ class MmseReceiver:
     the current, previous and next symbol windows of every user (the exact
     interference structure of :func:`generate_received`) plus the noise
     floor.  Recompute per symbol while the channel fades.
+
+    The convolution matrices are kept complex and stacked into one
+    ``(3 * n_users * window_len, n_paths)`` array, so a snapshot costs one
+    matrix-vector product, one covariance product and one solve, with no
+    per-call casts.  Holding them complex gives the same products, bit for
+    bit, as casting the real matrices on every call.
     """
 
     _SHIFTS = (-1, 0, 1)
@@ -321,18 +334,22 @@ class MmseReceiver:
             for shift in self._SHIFTS:
                 mats.append(build_convolution_matrix(sigs[k], cfg.n_paths, shift))
                 weights.append(cfg.amplitudes[k] ** 2)
-        self._mats = np.stack(mats)  # (3 * n_users, window_len, n_paths)
+        self._stack = np.concatenate(mats).astype(np.complex128)
+        self._eff_shape = (len(mats), cfg.window_len)
         self._weights = np.asarray(weights)
-        self._desired = build_convolution_matrix(sigs[0], cfg.n_paths, 0)
+        self._desired = build_convolution_matrix(sigs[0], cfg.n_paths, 0).astype(
+            np.complex128
+        )
 
     def filter_for(self, channel_gains, noise_var: float) -> np.ndarray:
         """MMSE filter for one channel snapshot (length ``n_paths`` gains)."""
         h = np.asarray(channel_gains, dtype=np.complex128)
         if h.shape != (self.cfg.n_paths,):
             raise ValueError("channel snapshot must have one gain per path")
-        eff = self._mats @ h  # (3 * n_users, window_len)
+        eff = (self._stack @ h).reshape(self._eff_shape)  # (3 * n_users, window_len)
         cov = (eff.T * self._weights) @ np.conj(eff)
-        cov[np.diag_indices_from(cov)] += noise_var + 1e-10
+        # the diagonal, through a view: matmul returns a fresh C-ordered array
+        cov.ravel()[:: self._eff_shape[1] + 1] += noise_var + 1e-10
         steering = self.cfg.amplitudes[0] * (self._desired @ h)
         try:
             return np.linalg.solve(cov, steering)
@@ -344,10 +361,3 @@ class MmseReceiver:
                 stacklevel=2,
             )
             return np.linalg.pinv(cov) @ steering
-
-
-def mmse_filter(
-    cfg: CdmaConfig, signatures, channel_gains, noise_var: float
-) -> np.ndarray:
-    """One-shot MMSE filter; see :class:`MmseReceiver` for the model."""
-    return MmseReceiver(cfg, signatures).filter_for(channel_gains, noise_var)

@@ -30,6 +30,7 @@ processes (``0`` or unset means one per CPU).
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import dataclasses
 import math
@@ -182,19 +183,45 @@ class ExperimentRecord:
 # configuration file handling
 # ---------------------------------------------------------------------------
 
-_TOP_KEYS = {
-    "scheme", "cdma", "n_symbols", "n_runs", "seed", "train_mode",
-    "train_symbols", "n_branches", "branches", "combiners", "u_max", "out",
+# config key -> conversion; absent keys take the dataclass defaults
+_TOP_SCALARS = {
+    "n_symbols": int, "n_runs": int, "seed": int, "train_mode": str,
+    "train_symbols": int, "n_branches": int, "u_max": float,
 }
-_CDMA_KEYS = {"users", "chips", "paths", "snr_db", "doppler", "amplitudes", "path_profile_db"}
+_TOP_KEYS = {"scheme", "cdma", "branches", "combiners", "out", *_TOP_SCALARS}
+# cdma key -> (CdmaConfig field, conversion); a null value counts as absent
+_CDMA_KEYS = {
+    "users": ("n_users", int),
+    "chips": ("n_chips", int),
+    "paths": ("n_paths", int),
+    "snr_db": ("snr_db", float),
+    "doppler": ("doppler", float),
+    "amplitudes": ("amplitudes", (float,)),
+    "path_profile_db": ("path_profile_db", (float,)),
+}
 _BRANCH_KEYS = {"mu": float, "rank": int, "interp_len": int, "eta": float}
 _COMBINER_KEYS = {"mu_a", "mu_b", "mu_c"}
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
 
 def _reject_unknown(mapping: dict, allowed, where: str) -> None:
     unknown = set(mapping).difference(allowed)
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+
+
+def _convert(kind, value, key: str):
+    """``kind(value)`` for the config value at ``key``; a value that does not
+    convert raises a :class:`ConfigError` naming the key.  ``(kind,)``
+    converts a list entry by entry."""
+    if isinstance(kind, tuple):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{key} must be a list, got {value!r}")
+        return tuple(_convert(kind[0], v, f"{key}[{i}]") for i, v in enumerate(value))
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}") from None
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -210,16 +237,13 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if not isinstance(cdma_data, dict):
         raise ConfigError("cdma section must be a mapping")
     _reject_unknown(cdma_data, _CDMA_KEYS, "cdma")
+    cdma_args = {
+        _CDMA_KEYS[k][0]: _convert(_CDMA_KEYS[k][1], v, f"cdma.{k}")
+        for k, v in cdma_data.items()
+        if v is not None
+    }
     try:
-        cdma = CdmaConfig(
-            n_users=int(cdma_data.get("users", 8)),
-            n_chips=int(cdma_data.get("chips", 32)),
-            n_paths=int(cdma_data.get("paths", 9)),
-            snr_db=float(cdma_data.get("snr_db", 15.0)),
-            doppler=float(cdma_data.get("doppler", 1e-4)),
-            amplitudes=cdma_data.get("amplitudes"),
-            path_profile_db=tuple(cdma_data.get("path_profile_db", (0.0, -3.0, -9.0))),
-        )
+        cdma = CdmaConfig(**cdma_args)
     except ValueError as exc:
         raise ConfigError(f"cdma section: {exc}") from exc
 
@@ -231,28 +255,25 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         if entry.get("mu") is None:
             raise ConfigError(f"branch {i} needs a mu")
         branches.append(BranchParams(**{
-            k: None if v is None else _BRANCH_KEYS[k](v) for k, v in entry.items()
+            k: None if v is None else _convert(_BRANCH_KEYS[k], v, f"branches[{i}].{k}")
+            for k, v in entry.items()
         }))
 
     comb_data = data.get("combiners", {}) or {}
     if not isinstance(comb_data, dict):
         raise ConfigError("combiners section must be a mapping")
     _reject_unknown(comb_data, _COMBINER_KEYS, "combiners")
-    combiners = CombinerSteps(**{k: float(v) for k, v in comb_data.items()})
+    combiners = CombinerSteps(**{
+        k: _convert(float, v, f"combiners.{k}") for k, v in comb_data.items()
+    })
 
     cfg = ExperimentConfig(
         scheme=str(data["scheme"]),
         cdma=cdma,
-        n_symbols=int(data.get("n_symbols", 1500)),
-        n_runs=int(data.get("n_runs", 100)),
-        seed=int(data.get("seed", 0)),
-        train_mode=str(data.get("train_mode", "supervised")),
-        train_symbols=int(data.get("train_symbols", 200)),
-        n_branches=int(data.get("n_branches", 8)),
         branches=branches,
         combiners=combiners,
-        u_max=float(data.get("u_max", 4.0)),
         out=None if data.get("out") is None else str(data["out"]),
+        **{k: _convert(kind, data[k], k) for k, kind in _TOP_SCALARS.items() if k in data},
     )
     cfg.validate()
     return cfg
@@ -410,7 +431,7 @@ def _single_run(cfg: ExperimentConfig, run_idx: int) -> _RunResult:
                 diverged = True
                 break
             err_sq = float(np.abs(np.complex128(e)) ** 2)
-            if not (np.isfinite(y) and np.isfinite(err_sq)):
+            if not (cmath.isfinite(y) and math.isfinite(err_sq)):
                 diverged = True
                 break
             errors[i] = detect_qpsk(y) != desired_user[i]

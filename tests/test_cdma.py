@@ -1,8 +1,13 @@
 """Downlink signal model: signatures, channel, received windows, MMSE."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
+from test_golden import GOLDEN, platform_fingerprint
 
 from rrfilt.cdma import (
     CdmaConfig,
@@ -12,7 +17,6 @@ from rrfilt.cdma import (
     detect_qpsk,
     generate_received,
     generate_signatures,
-    mmse_filter,
     qpsk_symbols,
 )
 
@@ -235,6 +239,43 @@ class TestGenerateReceived:
             generate_received(cfg, sigs, np.zeros((2, 2)), symbols, rng)
 
 
+def mmse_system(cfg, signatures, channel_gains, loading):
+    """Covariance and steering vector of the MMSE normal equations.
+
+    Built from :func:`build_convolution_matrix` alone: the previous, current
+    and next symbol windows of every user, weighted by the squared amplitude,
+    with ``loading`` added to the diagonal.  The real matrices are cast to
+    complex on every call, as the receiver did before it kept complex stacks.
+    """
+    sigs = np.asarray(signatures, dtype=np.float64)
+    h = np.asarray(channel_gains, dtype=np.complex128)
+    shifts = (-1, 0, 1)
+    mats = np.stack([
+        build_convolution_matrix(sigs[k], cfg.n_paths, shift)
+        for k in range(cfg.n_users)
+        for shift in shifts
+    ])
+    # Python's a ** 2 goes through pow, which can round unlike an array's a * a
+    weights = np.asarray([a ** 2 for a in cfg.amplitudes for _ in shifts])
+    eff = mats @ h
+    cov = (eff.T * weights) @ np.conj(eff)
+    cov[np.diag_indices_from(cov)] += loading
+    steering = cfg.amplitudes[0] * (build_convolution_matrix(sigs[0], cfg.n_paths, 0) @ h)
+    return cov, steering
+
+
+def mmse_filter(cfg, signatures, channel_gains, noise_var):
+    """Reference MMSE filter: the oracle system with the receiver's 1e-10
+    regularization, solved directly."""
+    cov, steering = mmse_system(cfg, signatures, channel_gains, noise_var + 1e-10)
+    return np.linalg.solve(cov, steering)
+
+
+def _on_golden_platform():
+    with open(GOLDEN, encoding="utf-8") as handle:
+        return json.load(handle)["platform"] == platform_fingerprint()
+
+
 class TestMmse:
     def _setup(self, seed, n_users=4, n_chips=16, n_paths=5, snr_db=10.0):
         cfg = CdmaConfig(
@@ -249,19 +290,15 @@ class TestMmse:
         for seed in range(10):
             cfg, sigs, h, _ = self._setup(seed)
             noise_var = cfg.noise_variance
-            w = mmse_filter(cfg, sigs, h, noise_var)
-            rec = MmseReceiver(cfg, sigs)
-            eff = rec._mats @ h
-            cov = (eff.T * rec._weights) @ np.conj(eff)
-            cov[np.diag_indices_from(cov)] += noise_var + 1e-10
-            steering = cfg.amplitudes[0] * (rec._desired @ h)
+            w = MmseReceiver(cfg, sigs).filter_for(h, noise_var)
+            cov, steering = mmse_system(cfg, sigs, h, noise_var + 1e-10)
             assert np.linalg.norm(cov @ w - steering) <= 1e-8 * np.linalg.norm(steering)
 
     def test_matched_filter_limit_at_high_noise(self):
         cfg = CdmaConfig(n_users=1, n_chips=16, n_paths=1, snr_db=-40.0)
         rng = np.random.default_rng(21)
         sigs = generate_signatures(1, 16, rng)
-        w = mmse_filter(cfg, sigs, np.array([1.0 + 0j]), cfg.noise_variance)
+        w = MmseReceiver(cfg, sigs).filter_for(np.array([1.0 + 0j]), cfg.noise_variance)
         cosine = abs(np.vdot(w, sigs[0])) / (np.linalg.norm(w) * np.linalg.norm(sigs[0]))
         assert cosine >= 0.999
 
@@ -269,12 +306,8 @@ class TestMmse:
         for seed in range(10):
             cfg, sigs, h, _ = self._setup(seed, n_users=6)
             noise_var = cfg.noise_variance
-            rec = MmseReceiver(cfg, sigs)
-            w = rec.filter_for(h, noise_var)
-            eff = rec._mats @ h
-            cov = (eff.T * rec._weights) @ np.conj(eff)
-            cov[np.diag_indices_from(cov)] += noise_var
-            steering = cfg.amplitudes[0] * (rec._desired @ h)
+            w = MmseReceiver(cfg, sigs).filter_for(h, noise_var)
+            cov, steering = mmse_system(cfg, sigs, h, noise_var)
             w_mf = np.zeros(cfg.window_len, dtype=complex)
             w_mf[: cfg.n_chips] = sigs[0]
 
@@ -288,7 +321,56 @@ class TestMmse:
     def test_channel_snapshot_shape_checked(self):
         cfg, sigs, _, _ = self._setup(0)
         with pytest.raises(ValueError):
-            mmse_filter(cfg, sigs, np.ones(3, dtype=complex), 0.1)
+            MmseReceiver(cfg, sigs).filter_for(np.ones(3, dtype=complex), 0.1)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_filter_matches_oracle(self, data):
+        # bit for bit where the golden digests were captured; elsewhere BLAS
+        # may round the flat and the stacked products differently, and a
+        # noise floor of at least 0.1 keeps the covariance conditioned well
+        # enough for a 1e-12 relative tolerance
+        n_chips = data.draw(st.integers(1, 8), label="n_chips")
+        n_users = data.draw(st.integers(1, min(4, 2**n_chips)), label="n_users")
+        n_paths = data.draw(st.integers(1, 5), label="n_paths")
+        amplitudes = data.draw(
+            st.lists(
+                st.one_of(st.just(0.0), st.floats(0.05, 1.5)),
+                min_size=n_users, max_size=n_users,
+            ),
+            label="amplitudes",
+        )
+        noise_var = data.draw(st.floats(0.1, 4.0), label="noise_var")
+        cfg = CdmaConfig(n_users=n_users, n_chips=n_chips, n_paths=n_paths,
+                         amplitudes=tuple(amplitudes))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        sigs = generate_signatures(n_users, n_chips, rng)
+        # Clarke placements put coinciding paths on one tap; add an all-zero snapshot
+        channel = ClarkeChannel(n_paths, 0.01, rng)
+        snapshots = np.vstack([channel.run(4), np.zeros((1, n_paths))])
+        receiver = MmseReceiver(cfg, sigs)
+        exact = _on_golden_platform()
+        for h in snapshots:
+            got = receiver.filter_for(h, noise_var)
+            want = mmse_filter(cfg, sigs, h, noise_var)
+            if exact:
+                assert_array_equal(got, want)
+            else:
+                assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.linalg.norm(want))
+
+    def test_singular_covariance_falls_back_to_pinv(self):
+        # the signature leaves the second sample empty and noise_var -1e-10
+        # cancels the regularization, so cov is exactly diag(|h|^2, 0); zero gains
+        # would make it singular too, but their pinv solution is all zeros
+        cfg = CdmaConfig(n_users=1, n_chips=2, n_paths=1)
+        sigs = np.array([[1.0, 0.0]])
+        h = np.array([0.5 - 0.25j])
+        with pytest.warns(RuntimeWarning, match="pseudo-inverse"):
+            w = MmseReceiver(cfg, sigs).filter_for(h, -1e-10)
+        cov, steering = mmse_system(cfg, sigs, h, 0.0)
+        assert_array_equal(cov, np.diag([0.3125, 0.0]))  # |h|^2 = 0.3125
+        assert_array_equal(w, np.linalg.pinv(cov) @ steering)
+        assert w[0] != 0
 
 
 class TestDetectQpsk:

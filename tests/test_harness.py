@@ -432,11 +432,31 @@ _NON_FINITE = {
     "branch_eta_nan": lambda c: c["branches"][1].update(eta=math.nan),
     "mu_c_nan": lambda c: c.update(combiners={"mu_c": math.nan}),
 }
+# amplitude and path-profile edits, applied to configs/mmse.yaml and
+# configs/scheme_b.yaml; the MMSE covariance weights are amplitudes**2
+_BAD_CDMA = {
+    "desired_amplitude_nan": lambda c: c["cdma"]["amplitudes"].__setitem__(0, math.nan),
+    "interferer_amplitude_nan": lambda c: c["cdma"]["amplitudes"].__setitem__(3, math.nan),
+    "desired_amplitude_inf": lambda c: c["cdma"]["amplitudes"].__setitem__(0, math.inf),
+    "interferer_amplitude_inf": lambda c: c["cdma"]["amplitudes"].__setitem__(3, math.inf),
+    "path_profile_empty": lambda c: c["cdma"].update(path_profile_db=[]),
+    "path_profile_nan": lambda c: c["cdma"].update(path_profile_db=[0.0, math.nan, -9.0]),
+    "path_profile_inf": lambda c: c["cdma"].update(path_profile_db=[0.0, -3.0, -math.inf]),
+    "path_profile_overflow": lambda c: c["cdma"].update(path_profile_db=[0.0, 4000.0]),
+    "path_profile_underflow": lambda c: c["cdma"].update(path_profile_db=[-4000.0, -4000.0]),
+}
+# values that do not convert to the key's type: (edit, key named in the error)
+_UNCONVERTIBLE = {
+    "branch_mu": (lambda c: c["branches"][0].update(mu="abc"), "branches[0].mu"),
+    "n_symbols": (lambda c: c.update(n_symbols="abc"), "n_symbols"),
+    "combiner_mu_c": (lambda c: c.update(combiners={"mu_c": "xyz"}), "combiners.mu_c"),
+    "cdma_users_list": (lambda c: c["cdma"].update(users=[8]), "cdma.users"),
+}
 
 
 class TestCliRejectsBadValues:
-    def _edited(self, tmp_path, edit):
-        data = yaml.safe_load((CONFIGS / "scheme_b.yaml").read_text())
+    def _edited(self, tmp_path, edit, config="scheme_b.yaml"):
+        data = yaml.safe_load((CONFIGS / config).read_text())
         data.update(n_symbols=60, n_runs=1)
         edit(data)
         path = tmp_path / "cfg.yaml"
@@ -451,6 +471,23 @@ class TestCliRejectsBadValues:
         cfg = self._edited(tmp_path, edit)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("config", ["mmse.yaml", "scheme_b.yaml"])
+    @pytest.mark.parametrize("edit", list(_BAD_CDMA.values()), ids=list(_BAD_CDMA))
+    def test_bad_amplitudes_and_path_profile(self, tmp_path, capsys, edit, config):
+        cfg = self._edited(tmp_path, edit, config)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 1
+        assert capsys.readouterr().err.startswith("error: cdma section: ")
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize(
+        "edit,key", list(_UNCONVERTIBLE.values()), ids=list(_UNCONVERTIBLE)
+    )
+    def test_unconvertible_value_names_its_key(self, tmp_path, capsys, edit, key):
+        cfg = self._edited(tmp_path, edit)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {key} must be ")
         assert not (tmp_path / "o.csv").exists()
 
     def test_noiseless_snr_still_runs(self, tmp_path, capsys):
