@@ -4,7 +4,7 @@ downlink interference-suppression simulator.
 Modules
 -------
 signalcore
-    Hankel regressors, decimation patterns, interpolation.
+    Hankel regressors and decimation-pattern tables.
 filters
     Full-tap LMS and the reduced-rank interpolation/decimation/filtering
     (JIDF) LMS filter with per-step branch selection.
@@ -16,7 +16,11 @@ cdma
     clairvoyant MMSE receiver, QPSK slicer.
 harness
     Seeded Monte-Carlo BER experiments, SNR sweeps, complexity reports,
-    CSV output, and the ``rrfilt`` command-line entry point.
+    CSV output, and the ``rrfilt`` command line (also ``python -m rrfilt``).
+
+Every adaptive scheme, one filter or a tree of them, can ``step(r, d)``
+(returning a ``StepResult``), ``predict(r)`` without adapting, and give its
+``equivalent()`` window-length filter, with ``equivalent()^H r == predict(r)``.
 """
 
 from .cdma import (
@@ -34,7 +38,6 @@ from .combiners import (
     Combiner,
     SchemeA,
     SchemeB,
-    equivalent_filter,
     sigmoid,
 )
 from .filters import FullRankLms, JidfFilter, StepResult
@@ -51,14 +54,7 @@ from .harness import (
     write_csv,
     write_sweep_csv,
 )
-from .signalcore import (
-    DecimationPattern,
-    apply_decimation,
-    build_hankel,
-    generate_decimation_patterns,
-    interpolate,
-    interpolation_matrix,
-)
+from .signalcore import build_hankel, generate_decimation_patterns
 
 __version__ = "0.1.0"
 
@@ -70,7 +66,6 @@ __all__ = [
     "Combiner",
     "CombinerSteps",
     "ConfigError",
-    "DecimationPattern",
     "ExperimentConfig",
     "ExperimentRecord",
     "FullRankLms",
@@ -79,17 +74,13 @@ __all__ = [
     "SchemeA",
     "SchemeB",
     "StepResult",
-    "apply_decimation",
     "build_convolution_matrix",
     "build_hankel",
     "complexity_report",
     "detect_qpsk",
-    "equivalent_filter",
     "generate_decimation_patterns",
     "generate_received",
     "generate_signatures",
-    "interpolate",
-    "interpolation_matrix",
     "load_config",
     "qpsk_symbols",
     "run_experiment",

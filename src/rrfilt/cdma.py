@@ -205,10 +205,6 @@ class ClarkeChannel:
         self._t += n_symbols
         return gains
 
-    def step(self) -> np.ndarray:
-        """Tap gains for the current symbol; advances one symbol."""
-        return self.run(1)[0]
-
 
 def qpsk_symbols(rng: np.random.Generator, n_users: int, n_symbols: int) -> np.ndarray:
     """Uniform unit-power QPSK symbols, shape ``(n_users, n_symbols)``."""

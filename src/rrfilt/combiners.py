@@ -10,9 +10,13 @@ Scheme A mixes four reduced-rank constituents through nodes ``a`` (1/2),
 node ``c``; the CLMS baseline mixes two full-tap LMS filters through one
 node ``a``.
 
-Every constituent adapts with its own error; each node adapts with the
-error of the output it produces.  All mixing values are read before any
-state moves, so one step sees a consistent snapshot.
+A tree speaks the constituents' protocol (:mod:`rrfilt.filters`): ``step``,
+``predict`` and ``equivalent()``.  A step steps every constituent through
+its own ``step``, each adapting with its own error, then mixes their
+pre-update outputs bottom-up; each node reads its mixing value, forms its
+output and then adapts with the error of that output.  Nodes and
+constituents share no state, so every quantity a step reports is a
+pre-update one.
 """
 
 from __future__ import annotations
@@ -79,29 +83,6 @@ class Combiner:
         self.u = float(min(max(self.u + self.mu * grad, -self.u_max), self.u_max))
 
 
-def _mix_equivalent(nodes, lams, leaf_eqs) -> np.ndarray:
-    """Sum of the leaf equivalent filters, each weighted by the product of
-    ``lam`` / ``1 - lam`` on its path from the root (the last node)."""
-    n = len(leaf_eqs)
-    weights = [0.0] * (n + len(nodes))
-    weights[-1] = 1.0
-    for k in reversed(range(len(nodes))):
-        _, _, i, j = nodes[k]
-        weights[i] = weights[n + k] * lams[k]
-        weights[j] = weights[n + k] * (1.0 - lams[k])
-    return sum(weight * eq for weight, eq in zip(weights, leaf_eqs))
-
-
-def equivalent_filter(scheme: MixTree) -> np.ndarray:
-    """Window-length filter currently equivalent to a mixing tree.
-
-    Mixing-weighted sum of the constituents' equivalent filters at their
-    currently selected branches; satisfies ``w_eq^H r == predict(r)``.
-    """
-    lams = [c.mixing for c in scheme.combiners]
-    return _mix_equivalent(scheme.nodes, lams, [f._equivalent() for f in scheme.filters])
-
-
 class MixTree:
     """Constituent filters joined by binary sigmoid mixing nodes.
 
@@ -131,43 +112,37 @@ class MixTree:
         return self.filters[0].num_taps
 
     def predict(self, r) -> complex:
-        ys = [f.predict(r) for f in self.filters]
+        return self._mix([f.predict(r) for f in self.filters])
+
+    def equivalent(self) -> np.ndarray:
+        """Window-length filter equivalent to the tree at its constituents'
+        last selected branches: ``equivalent()^H r == predict(r)``."""
+        return self._mix([f.equivalent() for f in self.filters])
+
+    def _mix(self, values: list):
+        # mixing values are real, so mixing filters mixes their outputs
         for c, _, i, j in self.nodes:
             lam = c.mixing
-            ys.append(lam * ys[i] + (1.0 - lam) * ys[j])
-        return ys[-1]
+            values.append(lam * values[i] + (1.0 - lam) * values[j])
+        return values[-1]
 
     def step(self, r, d) -> StepResult:
         # plain loops, not comprehensions: this runs once per symbol
-        fwds, ys, branches = [], [], []
+        d = complex(d)
+        ys, branches = [], []
         for f in self.filters:
-            fwd = f._forward(r, d)
-            fwds.append(fwd)
-            ys.append(fwd.y)
-            if fwd.b_opt is not None:
-                branches.append(fwd.b_opt)
+            res = f.step(r, d)
+            ys.append(res.y)
+            branches += res.branches
         outputs = tuple(ys)
-        lams, slots = [], [math.nan] * 3
+        slots = [math.nan] * 3
         for c, slot, i, j in self.nodes:
             lam = c.mixing
-            lams.append(lam)
             slots[slot] = lam
             ys.append(lam * ys[i] + (1.0 - lam) * ys[j])
-        d = complex(d)
-        for f, fwd in zip(self.filters, fwds):
-            f._commit(fwd)
-        k = len(fwds)
-        for (c, _, i, j), lam in zip(self.nodes, lams):
-            c.update(ys[i], ys[j], d - ys[k], lam)
-            k += 1
-
-        def build_w_eq():
-            # valid after the commit: _commit rebinds the coefficient arrays
-            leaf_eqs = [f._equivalent(fwd) for f, fwd in zip(self.filters, fwds)]
-            return _mix_equivalent(self.nodes, lams, leaf_eqs)
-
+            c.update(ys[i], ys[j], d - ys[-1], lam)
         y = ys[-1]
-        return StepResult(y, d - y, outputs, tuple(branches), tuple(slots), build_w_eq)
+        return StepResult(y, d - y, outputs, tuple(branches), tuple(slots))
 
 
 # The three schemes fix their node tables.  Each keeps ``step`` and

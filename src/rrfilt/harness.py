@@ -212,16 +212,23 @@ def _reject_unknown(mapping: dict, allowed, where: str) -> None:
 
 def _convert(kind, value, key: str):
     """``kind(value)`` for the config value at ``key``; a value that does not
-    convert raises a :class:`ConfigError` naming the key.  ``(kind,)``
-    converts a list entry by entry."""
+    convert exactly raises a :class:`ConfigError` naming the key.  ``(kind,)``
+    converts a list entry by entry.  Numbers refuse booleans, and integers
+    refuse non-integral floats, which ``int`` would truncate."""
     if isinstance(kind, tuple):
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{key} must be a list, got {value!r}")
         return tuple(_convert(kind[0], v, f"{key}[{i}]") for i, v in enumerate(value))
+    bad = kind is not str and isinstance(value, bool)
     try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}") from None
+        converted = kind(value)
+        if kind is int and isinstance(value, float) and converted != value:
+            bad = True
+    except (TypeError, ValueError, OverflowError):
+        bad = True
+    if bad:
+        raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return converted
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -673,6 +680,3 @@ def main(argv=None) -> int:
         return 1
     return 0
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -115,9 +115,9 @@ class TestConvolutionMatrix:
 class TestClarkeChannel:
     def test_zero_doppler_freezes_gains(self):
         ch = ClarkeChannel(5, 0.0, np.random.default_rng(6))
-        h0 = ch.step()
+        h0 = ch.run(1)[0]
         for _ in range(10):
-            assert_array_equal(ch.step(), h0)
+            assert_array_equal(ch.run(1)[0], h0)
 
     def test_total_power_is_normalized(self):
         ch = ClarkeChannel(9, 0.01, np.random.default_rng(7))
@@ -283,7 +283,7 @@ class TestMmse:
         )
         rng = np.random.default_rng(seed)
         sigs = generate_signatures(n_users, n_chips, rng)
-        h = ClarkeChannel(n_paths, 0.0, rng).step()
+        h = ClarkeChannel(n_paths, 0.0, rng).run(1)[0]
         return cfg, sigs, h, rng
 
     def test_normal_equation_residual(self):

@@ -8,19 +8,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
-from rrfilt.combiners import (
-    Clms,
-    Combiner,
-    SchemeA,
-    SchemeB,
-    equivalent_filter,
-    sigmoid,
-)
+from rrfilt.combiners import Clms, Combiner, SchemeA, SchemeB, sigmoid
 from rrfilt.filters import FullRankLms, JidfFilter
 
 
 def _random_complex(rng, n):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def step_with_equivalent(scheme, r, d):
+    """``scheme.step(r, d)`` and the window-length filter equivalent to that
+    step: ``equivalent()`` of a pre-step copy of the tree whose reduced-rank
+    constituents are set to the branches the step selected."""
+    before = copy.deepcopy(scheme)
+    res = scheme.step(r, d)
+    leaves = [f for f in before.filters if isinstance(f, JidfFilter)]
+    for f, b in zip(leaves, res.branches, strict=True):
+        f.last_b_opt = b
+    return res, before.equivalent()
 
 
 def _jidf(m, rank, interp, eta, mu, n_branches=2):
@@ -125,16 +130,16 @@ class TestSchemeB:
         for _ in range(200):
             r = _random_complex(rng, 8)
             d = np.vdot(plant, r) + 0.1 * complex(*rng.standard_normal(2))
-            diag = scheme.step(r, d)
+            diag, w_eq = step_with_equivalent(scheme, r, d)
             y = diag.y
-            assert abs(y - np.vdot(diag.w_eq, r)) <= 1e-10 * (1 + abs(y))
+            assert abs(y - np.vdot(w_eq, r)) <= 1e-10 * (1 + abs(y))
 
     def test_standalone_equivalent_filter_predicts(self):
         rng = np.random.default_rng(4)
         scheme = self._make(rng)
         for _ in range(20):
             scheme.step(_random_complex(rng, 8), complex(rng.standard_normal()))
-        w_eq = equivalent_filter(scheme)
+        w_eq = scheme.equivalent()
         for _ in range(100):
             r = _random_complex(rng, 8)
             y = scheme.predict(r)
@@ -218,16 +223,16 @@ class TestSchemeA:
         for _ in range(200):
             r = _random_complex(rng, 8)
             d = np.vdot(plant, r) + 0.1 * complex(*rng.standard_normal(2))
-            diag = scheme.step(r, d)
+            diag, w_eq = step_with_equivalent(scheme, r, d)
             y = diag.y
-            assert abs(y - np.vdot(diag.w_eq, r)) <= 1e-10 * (1 + abs(y))
+            assert abs(y - np.vdot(w_eq, r)) <= 1e-10 * (1 + abs(y))
 
     def test_standalone_equivalent_filter_predicts(self):
         rng = np.random.default_rng(10)
         scheme = self._make(rng)
         for _ in range(20):
             scheme.step(_random_complex(rng, 8), complex(rng.standard_normal()))
-        w_eq = equivalent_filter(scheme)
+        w_eq = scheme.equivalent()
         for _ in range(100):
             r = _random_complex(rng, 8)
             y = scheme.predict(r)
@@ -238,7 +243,7 @@ class TestSchemeA:
         for f in filters:
             f.w_bar[:] = 0
         scheme = SchemeA(filters, mu_a=0.25, mu_b=0.25, mu_c=0.25)
-        assert_array_equal(equivalent_filter(scheme), np.zeros(6))
+        assert_array_equal(scheme.equivalent(), np.zeros(6))
 
     def test_requires_four_filters(self):
         with pytest.raises(ValueError):
@@ -279,16 +284,16 @@ class TestClms:
         for _ in range(100):
             r = _random_complex(rng, 6)
             d = complex(*rng.standard_normal(2))
-            diag = scheme.step(r, d)
+            diag, w_eq = step_with_equivalent(scheme, r, d)
             y = diag.y
-            assert abs(y - np.vdot(diag.w_eq, r)) <= 1e-10 * (1 + abs(y))
+            assert abs(y - np.vdot(w_eq, r)) <= 1e-10 * (1 + abs(y))
 
     def test_standalone_equivalent_filter_predicts(self):
         rng = np.random.default_rng(16)
         scheme = Clms([FullRankLms(6, 0.08), FullRankLms(6, 0.01)], mu_a=0.25)
         for _ in range(20):
             scheme.step(_random_complex(rng, 6), complex(rng.standard_normal()))
-        w_eq = equivalent_filter(scheme)
+        w_eq = scheme.equivalent()
         for _ in range(100):
             r = _random_complex(rng, 6)
             y = scheme.predict(r)
@@ -346,7 +351,8 @@ class TestConstituentSteps:
     """Inside a scheme step every constituent must take exactly the step it
     takes alone, and the mixing arithmetic must be the closed form.  Values
     are compared by ``repr``, so the guard holds bit for bit on any
-    platform."""
+    platform.  The step's output must also be reproduced by the equivalent
+    filter of the pre-step tree, to 1e-10 relative."""
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -390,7 +396,8 @@ class TestConstituentSteps:
             r = _random_complex(rng, m)
             d = complex(*rng.standard_normal(2))
             u_before = [c.u for c in nodes]
-            diag = scheme.step(r, d)
+            diag, w_eq = step_with_equivalent(scheme, r, d)
+            assert abs(diag.y - np.vdot(w_eq, r)) <= 1e-10 * (1 + abs(diag.y))
             for j, solo in enumerate(solos):
                 res = solo.step(r, d)
                 assert repr(diag.outputs[j]) == repr(res.y)

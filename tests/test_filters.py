@@ -5,11 +5,32 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from rrfilt.filters import FullRankLms, JidfFilter
-from rrfilt.signalcore import build_hankel, interpolation_matrix
+from rrfilt.signalcore import build_hankel
 
 
 def _random_complex(rng, n):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def interpolation_matrix(coeffs, size):
+    """Banded lower-triangular Toeplitz convolution matrix of an interpolator
+    (oracle): ``V[n, m] = coeffs[n - m]`` for ``0 <= n - m < len(coeffs)``,
+    zero elsewhere."""
+    v = np.asarray(coeffs, dtype=np.complex128)
+    if v.ndim != 1 or v.size == 0:
+        raise ValueError("coeffs must be a non-empty vector")
+    if v.size > size:
+        raise ValueError("interpolator longer than the matrix size")
+    mat = np.zeros((size, size), dtype=np.complex128)
+    for k in range(v.size):
+        rows = np.arange(size - k)
+        mat[rows + k, rows] = v[k]
+    return mat
+
+
+def _dual_output(f, hankel, branch):
+    """Output through the interpolator-side factorization ``v^H u``."""
+    return np.vdot(f.v, f._interp_regressor(hankel, branch, np.conj(f.w_bar)))
 
 
 def _random_filter(rng, max_taps=16):
@@ -81,20 +102,19 @@ class TestBranchSelection:
             errs = []
             for pat in f.patterns:
                 interpolated = hankel @ np.conj(f.v)
-                r_bar = interpolated[pat.indices]
+                r_bar = interpolated[pat]
                 errs.append(abs(d - np.vdot(f.w_bar, r_bar)) ** 2)
-            b, e, r_bar = f.select_branch(hankel, d)
-            assert b == int(np.argmin(errs))
-            assert abs(e) ** 2 == pytest.approx(min(errs), rel=1e-12)
+            res = f.step(r, d)
+            assert res.branches == (int(np.argmin(errs)),)
+            assert abs(res.e) ** 2 == pytest.approx(min(errs), rel=1e-12)
 
     def test_exact_tie_goes_to_lowest_branch(self):
         # zero reduced-rank filter makes every branch error equal to d
         f = JidfFilter(8, 2, 2, 4, eta=0.01, mu=0.05)
         rng = np.random.default_rng(5)
-        hankel = f.regressor(_random_complex(rng, 8))
-        b, e, _ = f.select_branch(hankel, 1 + 1j)
-        assert b == 0
-        assert e == 1 + 1j
+        res = f.step(_random_complex(rng, 8), 1 + 1j)
+        assert res.branches == (0,)
+        assert res.e == 1 + 1j
 
 
 class TestJidfStep:
@@ -103,8 +123,7 @@ class TestJidfStep:
         rng = np.random.default_rng(6)
         r = _random_complex(rng, 6)
         d = 1 - 2j
-        hankel = f.regressor(r)
-        _, _, r_bar = f.select_branch(hankel, d)
+        r_bar = f._forward(r, d).r_bar
         res = f.step(r, d)
         assert res.y == 0
         assert res.e == d
@@ -155,8 +174,9 @@ class TestJidfStep:
         d = complex(*rng.standard_normal(2))
         hankel = f.regressor(r)
         v0, w0 = f.v.copy(), f.w_bar.copy()
-        b, e, r_bar = f.select_branch(hankel, d)
-        u = hankel[f.patterns[b].indices].T @ np.conj(w0)
+        fwd = f._forward(r, d)
+        b, e, r_bar = fwd.b_opt, fwd.e, fwd.r_bar
+        u = hankel[f.patterns[b]].T @ np.conj(w0)
         f.step(r, d)
         assert_allclose(f.v, v0 + f.eta * np.conj(e) * u, atol=1e-14)
         assert_allclose(f.w_bar, w0 + f.mu * np.conj(e) * r_bar, atol=1e-14)
@@ -169,13 +189,13 @@ class TestDualOutput:
         f.w_bar = np.ones(3, dtype=complex)
         rng = np.random.default_rng(11)
         hankel = f.regressor(_random_complex(rng, 6))
-        assert f.output_dual(hankel, 0) == 0
+        assert _dual_output(f, hankel, 0) == 0
 
     def test_zero_reduced_filter(self):
         f = JidfFilter(6, 2, 3, 2, eta=0.01, mu=0.05)
         rng = np.random.default_rng(12)
         hankel = f.regressor(_random_complex(rng, 6))
-        assert f.output_dual(hankel, 1) == 0
+        assert _dual_output(f, hankel, 1) == 0
 
     def test_dual_equals_primal(self):
         rng = np.random.default_rng(13)
@@ -184,37 +204,40 @@ class TestDualOutput:
             r = _random_complex(rng, f.num_taps)
             hankel = f.regressor(r)
             for b, pat in enumerate(f.patterns):
-                primal = np.vdot(f.w_bar, hankel[pat.indices] @ np.conj(f.v))
-                assert abs(f.output_dual(hankel, b) - primal) <= 1e-12
-
-    def test_invalid_branch(self):
-        f = JidfFilter(6, 2, 3, 2, eta=0.01, mu=0.05)
-        hankel = f.regressor(np.zeros(6))
-        with pytest.raises(ValueError):
-            f.output_dual(hankel, 2)
+                primal = np.vdot(f.w_bar, hankel[pat] @ np.conj(f.v))
+                assert abs(_dual_output(f, hankel, b) - primal) <= 1e-12
 
 
-class TestEquivalentReducedFilter:
+class TestEquivalent:
+    """``equivalent()`` is the window-length filter at the last selected
+    branch."""
+
+    def test_full_rank_filter_is_its_own_equivalent(self):
+        f = FullRankLms(4, mu=0.1)
+        f.w = _random_complex(np.random.default_rng(18), 4)
+        assert_array_equal(f.equivalent(), f.w)
+
     def test_degenerate_config_returns_filter_itself(self):
         f = JidfFilter(5, 1, 5, 1, eta=0.0, mu=0.1)
         rng = np.random.default_rng(14)
         f.w_bar = _random_complex(rng, 5)
-        assert_allclose(f.equivalent_reduced_filter(0), f.w_bar, atol=1e-15)
+        assert_allclose(f.equivalent(), f.w_bar, atol=1e-15)
 
     def test_zero_filter_gives_zero_vector(self):
         f = JidfFilter(6, 2, 3, 2, eta=0.01, mu=0.05)
-        assert_array_equal(f.equivalent_reduced_filter(0), np.zeros(6))
+        assert_array_equal(f.equivalent(), np.zeros(6))
 
     def test_inner_product_reproduces_output(self):
         rng = np.random.default_rng(15)
         for _ in range(20):
             f = _random_filter(rng)
             for b in range(f.n_branches):
-                w_eq = f.equivalent_reduced_filter(b)
+                f.last_b_opt = b
+                w_eq = f.equivalent()
                 for _ in range(5):
                     r = _random_complex(rng, f.num_taps)
                     hankel = build_hankel(r, f.num_taps, f.interp_len)
-                    primal = np.vdot(f.w_bar, hankel[f.patterns[b].indices] @ np.conj(f.v))
+                    primal = np.vdot(f.w_bar, hankel[f.patterns[b]] @ np.conj(f.v))
                     assert abs(np.vdot(w_eq, r) - primal) <= 1e-12
 
     def test_matches_explicit_scatter_then_toeplitz(self):
@@ -223,14 +246,38 @@ class TestEquivalentReducedFilter:
             f = _random_filter(rng)
             b = int(rng.integers(f.n_branches))
             scattered = np.zeros(f.num_taps, dtype=complex)
-            scattered[f.patterns[b].indices] = f.w_bar
+            scattered[f.patterns[b]] = f.w_bar
             expected = interpolation_matrix(f.v, f.num_taps) @ scattered
-            assert_allclose(f.equivalent_reduced_filter(b), expected, atol=1e-13)
+            f.last_b_opt = b
+            assert_allclose(f.equivalent(), expected, atol=1e-13)
 
-    def test_invalid_branch(self):
-        f = JidfFilter(6, 2, 3, 2, eta=0.01, mu=0.05)
+
+class TestInterpolationMatrix:
+    """The test-side Toeplitz oracle itself."""
+
+    def test_shape_and_band(self):
+        mat = interpolation_matrix([1, 2], 4)
+        expected = np.array(
+            [[1, 0, 0, 0], [2, 1, 0, 0], [0, 2, 1, 0], [0, 0, 2, 1]], dtype=complex
+        )
+        assert_array_equal(mat, expected)
+
+    def test_matches_explicit_band(self):
+        rng = np.random.default_rng(42)
+        for _ in range(100):
+            m = int(rng.integers(1, 17))
+            i = int(rng.integers(1, m + 1))
+            v = _random_complex(rng, i)
+            mat = np.zeros((m, m), dtype=complex)
+            for row in range(m):
+                for col in range(m):
+                    if 0 <= row - col < i:
+                        mat[row, col] = v[row - col]
+            assert_allclose(interpolation_matrix(v, m), mat, atol=0)
+
+    def test_rejects_long_interpolator(self):
         with pytest.raises(ValueError):
-            f.equivalent_reduced_filter(-1)
+            interpolation_matrix([1, 2, 3], 2)
 
 
 class TestGradientDirections:
@@ -250,9 +297,9 @@ class TestGradientDirections:
             r = _random_complex(rng, f.num_taps)
             d = complex(*rng.standard_normal(2))
             hankel = f.regressor(r)
-            b, e, r_bar = f.select_branch(hankel, d)
-            idx = f.patterns[b].indices
-            u = hankel[idx].T @ np.conj(f.w_bar)
+            fwd = f._forward(r, d)  # the gradients the commit applies
+            e, r_bar, u = fwd.e, fwd.r_bar, fwd.u
+            idx = f.patterns[fwd.b_opt]
 
             def fd_grad(base, update_other, which):
                 grads = np.zeros(base.size, dtype=complex)

@@ -3,6 +3,9 @@
 import csv
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +31,8 @@ from rrfilt.harness import (
     write_sweep_csv,
 )
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 TINY_CDMA = dict(n_users=2, n_chips=8, n_paths=3, snr_db=12.0, doppler=1e-3)
 
 
@@ -412,6 +416,18 @@ branches:
         assert main(["run", "--config", str(cfg), "--out", "explicit.csv"]) == 0
         assert (tmp_path / "explicit.csv").exists()
 
+    def test_python_m_rrfilt_runs_without_warnings(self):
+        path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "rrfilt", "complexity",
+             "--config", str(CONFIGS / "scheme_a.yaml")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines()[-1] == "scheme_a,758,900"
+        assert proc.stderr == ""
+
 
 # edits of configs/scheme_b.yaml whose values the filter or combiner
 # constructors reject
@@ -451,6 +467,12 @@ _UNCONVERTIBLE = {
     "n_symbols": (lambda c: c.update(n_symbols="abc"), "n_symbols"),
     "combiner_mu_c": (lambda c: c.update(combiners={"mu_c": "xyz"}), "combiners.mu_c"),
     "cdma_users_list": (lambda c: c["cdma"].update(users=[8]), "cdma.users"),
+    "n_runs_fraction": (lambda c: c.update(n_runs=2.7), "n_runs"),
+    "n_runs_inf": (lambda c: c.update(n_runs=math.inf), "n_runs"),
+    "n_symbols_bool": (lambda c: c.update(n_symbols=True), "n_symbols"),
+    "cdma_users_fraction": (lambda c: c["cdma"].update(users=1.9), "cdma.users"),
+    "branch_rank_fraction": (lambda c: c["branches"][0].update(rank=3.5), "branches[0].rank"),
+    "branch_mu_bool": (lambda c: c["branches"][0].update(mu=True), "branches[0].mu"),
 }
 
 
@@ -488,6 +510,14 @@ class TestCliRejectsBadValues:
         cfg = self._edited(tmp_path, edit)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 1
         assert capsys.readouterr().err.startswith(f"error: {key} must be ")
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("threads", ["abc", "1.5", "-1"])
+    def test_bad_thread_count_reported(self, tmp_path, capsys, monkeypatch, threads):
+        monkeypatch.setenv("RRFILT_THREADS", threads)
+        cfg = self._edited(tmp_path, lambda c: None)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 1
+        assert capsys.readouterr().err.startswith("error: RRFILT_THREADS ")
         assert not (tmp_path / "o.csv").exists()
 
     def test_noiseless_snr_still_runs(self, tmp_path, capsys):

@@ -1,17 +1,10 @@
-"""Window regressor, decimation pattern, and interpolation primitives."""
+"""Window regressor and decimation-pattern primitives."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from rrfilt.signalcore import (
-    DecimationPattern,
-    apply_decimation,
-    build_hankel,
-    generate_decimation_patterns,
-    interpolate,
-    interpolation_matrix,
-)
+from rrfilt.signalcore import build_hankel, generate_decimation_patterns
 
 
 def _random_complex(rng, n):
@@ -52,96 +45,7 @@ class TestBuildHankel:
         with pytest.raises(ValueError):
             build_hankel(*args)
 
-
-class TestDecimationPatterns:
-    def test_two_branch_comb(self):
-        pats = generate_decimation_patterns(8, 4, 2)
-        assert [p.indices.tolist() for p in pats] == [[0, 2, 4, 6], [1, 3, 5, 7]]
-
-    def test_full_rank_is_identity_selection(self):
-        (pat,) = generate_decimation_patterns(4, 4, 1)
-        assert pat.indices.tolist() == [0, 1, 2, 3]
-
-    def test_desk_scale_bank(self):
-        pats = generate_decimation_patterns(40, 4, 8)
-        assert len(pats) == 8
-        for b, pat in enumerate(pats):
-            assert pat.indices.tolist() == [b + 10 * d for d in range(4)]
-
-    def test_patterns_fit_and_are_pairwise_distinct(self):
-        rng = np.random.default_rng(3)
-        for _ in range(30):
-            m = int(rng.integers(2, 24))
-            d = int(rng.integers(1, m + 1))
-            stride = m // d
-            b_max = m - (d - 1) * stride
-            b = int(rng.integers(1, b_max + 1))
-            pats = generate_decimation_patterns(m, d, b)
-            seen = set()
-            for pat in pats:
-                assert pat.indices[-1] < m
-                seen.add(tuple(pat.indices.tolist()))
-            assert len(seen) == b
-
-    def test_rejects_overfull_bank(self):
-        # stride 2, rank 4: offsets past m - (rank-1)*stride collide or leave
-        with pytest.raises(ValueError):
-            generate_decimation_patterns(8, 4, 3)
-
-    def test_rejects_bad_rank(self):
-        with pytest.raises(ValueError):
-            generate_decimation_patterns(4, 5, 1)
-        with pytest.raises(ValueError):
-            generate_decimation_patterns(4, 0, 1)
-
-    def test_pattern_validation(self):
-        with pytest.raises(ValueError):
-            DecimationPattern(np.array([2, 1]))
-        with pytest.raises(ValueError):
-            DecimationPattern(np.array([1, 1]))
-        with pytest.raises(ValueError):
-            DecimationPattern(np.array([-1, 0]))
-        with pytest.raises(ValueError):
-            DecimationPattern(np.array([], dtype=int))
-
-
-class TestApplyDecimation:
-    def test_selects_in_order(self):
-        pat = DecimationPattern(np.array([0, 2]))
-        assert_array_equal(apply_decimation(pat, [10, 20, 30, 40]), [10, 30])
-
-    def test_identity_pattern(self):
-        x = np.arange(5.0)
-        pat = DecimationPattern(np.arange(5))
-        assert_array_equal(apply_decimation(pat, x), x)
-
-    def test_odd_indices(self):
-        pat = DecimationPattern(np.array([1, 3]))
-        assert_array_equal(apply_decimation(pat, [1, 2, 3, 4]), [2, 4])
-
-    def test_out_of_bounds(self):
-        pat = DecimationPattern(np.array([0, 4]))
-        with pytest.raises(ValueError):
-            apply_decimation(pat, [1, 2, 3])
-
-
-class TestInterpolate:
-    def test_identity_interpolator(self):
-        rng = np.random.default_rng(1)
-        r = _random_complex(rng, 6)
-        assert_array_equal(interpolate([1.0], r), r)
-
-    def test_zero_interpolator(self):
-        assert_array_equal(interpolate([0, 0], [1, 2, 3]), np.zeros(3))
-
-    def test_hand_convolution_with_zero_pad(self):
-        assert_allclose(interpolate([1, 1], [1, 2, 3]), [3, 5, 3])
-
-    def test_too_long_interpolator_rejected(self):
-        with pytest.raises(ValueError):
-            interpolate([1, 1, 1, 1], [1, 2, 3])
-
-    def test_matches_explicit_banded_toeplitz(self):
+    def test_correlation_matches_explicit_banded_toeplitz(self):
         # oracle: build the banded lower-triangular convolution matrix by
         # hand and apply its Hermitian transpose
         rng = np.random.default_rng(42)
@@ -155,18 +59,49 @@ class TestInterpolate:
                 for col in range(m):
                     if 0 <= row - col < i:
                         mat[row, col] = v[row - col]
-            assert_allclose(interpolate(v, r), mat.conj().T @ r, atol=1e-12)
-            assert_allclose(interpolation_matrix(v, m), mat, atol=0)
+            assert_allclose(build_hankel(r, m, i) @ np.conj(v), mat.conj().T @ r, atol=1e-12)
 
 
-class TestInterpolationMatrix:
-    def test_shape_and_band(self):
-        mat = interpolation_matrix([1, 2], 4)
-        expected = np.array(
-            [[1, 0, 0, 0], [2, 1, 0, 0], [0, 2, 1, 0], [0, 0, 2, 1]], dtype=complex
-        )
-        assert_array_equal(mat, expected)
+class TestDecimationPatterns:
+    def test_two_branch_comb(self):
+        pats = generate_decimation_patterns(8, 4, 2)
+        assert pats.tolist() == [[0, 2, 4, 6], [1, 3, 5, 7]]
 
-    def test_rejects_long_interpolator(self):
+    def test_full_rank_is_identity_selection(self):
+        (pat,) = generate_decimation_patterns(4, 4, 1)
+        assert pat.tolist() == [0, 1, 2, 3]
+
+    def test_desk_scale_bank(self):
+        pats = generate_decimation_patterns(40, 4, 8)
+        assert pats.shape == (8, 4)
+        assert pats.dtype == np.intp
+        assert not pats.flags.writeable
+        for b, pat in enumerate(pats):
+            assert pat.tolist() == [b + 10 * d for d in range(4)]
+
+    def test_patterns_fit_and_are_pairwise_distinct(self):
+        rng = np.random.default_rng(3)
+        for _ in range(30):
+            m = int(rng.integers(2, 24))
+            d = int(rng.integers(1, m + 1))
+            stride = m // d
+            b_max = m - (d - 1) * stride
+            b = int(rng.integers(1, b_max + 1))
+            pats = generate_decimation_patterns(m, d, b)
+            seen = set()
+            for pat in pats:
+                assert pat[-1] < m
+                assert np.all(np.diff(pat) > 0)
+                seen.add(tuple(pat.tolist()))
+            assert len(seen) == b
+
+    def test_rejects_overfull_bank(self):
+        # stride 2, rank 4: offsets past m - (rank-1)*stride collide or leave
         with pytest.raises(ValueError):
-            interpolation_matrix([1, 2, 3], 2)
+            generate_decimation_patterns(8, 4, 3)
+
+    def test_rejects_bad_rank(self):
+        with pytest.raises(ValueError):
+            generate_decimation_patterns(4, 5, 1)
+        with pytest.raises(ValueError):
+            generate_decimation_patterns(4, 0, 1)
