@@ -57,6 +57,12 @@ class CdmaConfig:
     def __post_init__(self):
         if self.n_users < 1 or self.n_chips < 1 or self.n_paths < 1:
             raise ValueError("n_users, n_chips and n_paths must be >= 1")
+        # n_users > 2**n_chips, without building a huge power of two
+        if (self.n_users - 1).bit_length() > self.n_chips:
+            raise ValueError(
+                f"{self.n_users} users need distinct signatures, but {self.n_chips} "
+                f"chips give only 2**{self.n_chips} binary sequences"
+            )
         if self.amplitudes is None:
             self.amplitudes = (1.0,) * self.n_users
         else:
@@ -241,20 +247,27 @@ def generate_received(
     path_gains: np.ndarray,
     symbols: np.ndarray,
     rng: np.random.Generator,
-    noise_var: float | None = None,
+    noise_var: float | tuple[float, ...] | None = None,
 ) -> np.ndarray:
     """Received observation windows for a block of symbols.
 
     Builds the superposed transmit chip stream (ascending user order), runs
     it through the per-symbol channel taps by windowed chip-rate convolution
-    (ascending path order), and adds noise.  ``path_gains`` has shape
-    ``(n_symbols, n_paths)`` and ``symbols`` ``(n_users, n_symbols)``.
+    (ascending path order, skipping taps whose gains are all zero: the
+    accumulators start at +0.0, so adding their ±0.0 terms would change no
+    bit), and adds noise.  ``path_gains`` has shape ``(n_symbols, n_paths)``
+    and ``symbols`` ``(n_users, n_symbols)``.
 
     Noise variates are always drawn -- two ``standard_normal`` blocks of
     shape ``(n_symbols, window_len)``, real then imaginary -- even at zero
     variance, so a seeded generator yields the same stream at any SNR.
 
-    Returns ``(n_symbols, window_len)`` complex samples.
+    Returns ``(n_symbols, window_len)`` complex samples, each
+    ``signal + sqrt(noise_var / 2) * noise`` per plane.  A tuple of noise
+    variances returns one such block per variance, stacked on a new first
+    axis, all from the one signal and the one noise draw: each block is
+    bit for bit what a separate call at that variance would return from
+    the same generator state.
     """
     sigs = np.asarray(signatures, dtype=np.float64)
     gains = np.asarray(path_gains, dtype=np.complex128)
@@ -266,10 +279,28 @@ def generate_received(
         raise ValueError("symbols must be (n_users, n_symbols) with n_symbols >= 1")
     if gains.shape != (n_symbols, cfg.n_paths):
         raise ValueError("path_gains must be (n_symbols, n_paths)")
-    if noise_var is None:
-        noise_var = cfg.noise_variance
+    stacked = isinstance(noise_var, tuple)
+    variances = noise_var if stacked else (
+        cfg.noise_variance if noise_var is None else noise_var,
+    )
 
-    n_chips, n_paths = cfg.n_chips, cfg.n_paths
+    signal_re, signal_im = _noiseless_planes(cfg, sigs, gains, b)
+    noise_re = rng.standard_normal(signal_re.shape)
+    noise_im = rng.standard_normal(signal_re.shape)
+    received = np.empty((len(variances), *signal_re.shape), dtype=np.complex128)
+    for block, var in zip(received, variances):
+        scale = np.sqrt(var / 2.0)
+        block.real = signal_re + scale * noise_re
+        block.imag = signal_im + scale * noise_im
+    return received if stacked else received[0]
+
+
+def _noiseless_planes(cfg: CdmaConfig, sigs, gains, b) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary planes of the noiseless windows (see
+    :func:`generate_received`, which checks the arguments).  A function of
+    its own so that the chip stream is freed before the noise and the
+    received blocks are allocated."""
+    n_symbols, n_chips, n_paths = b.shape[1], cfg.n_chips, cfg.n_paths
     window_len = cfg.window_len
 
     chips = np.zeros((n_symbols, n_chips), dtype=np.complex128)
@@ -284,7 +315,7 @@ def generate_received(
     starts = n_chips * np.arange(n_symbols)
     signal_re = np.zeros((n_symbols, window_len))
     signal_im = np.zeros((n_symbols, window_len))
-    for path in range(n_paths):
+    for path in np.flatnonzero((gains != 0).any(axis=0)):
         g = gains[:, path][:, None]
         w = windows[starts + pad - path]
         # split-plane product: the vectorized complex-multiply loop may fuse
@@ -292,14 +323,7 @@ def generate_received(
         # would break the bit-level reproducibility promised above
         signal_re += g.real * w.real - g.imag * w.imag
         signal_im += g.real * w.imag + g.imag * w.real
-
-    scale = np.sqrt(noise_var / 2.0)
-    noise_re = rng.standard_normal((n_symbols, window_len))
-    noise_im = rng.standard_normal((n_symbols, window_len))
-    received = np.empty((n_symbols, window_len), dtype=np.complex128)
-    received.real = signal_re + scale * noise_re
-    received.imag = signal_im + scale * noise_im
-    return received
+    return signal_re, signal_im
 
 
 class MmseReceiver:

@@ -105,7 +105,7 @@ class FullRankLms:
     def _forward(self, r, d) -> _LmsForward:
         r = self._check(r)
         y = complex(np.vdot(self.w, r))
-        return _LmsForward(y=y, e=complex(d) - y, r=r)
+        return _LmsForward(y, complex(d) - y, r)
 
     def _commit(self, fwd: _LmsForward) -> None:
         self.w = self.w + self.mu * np.conj(fwd.e) * fwd.r
@@ -180,8 +180,8 @@ class JidfFilter:
     def predict(self, r) -> complex:
         """Output for ``r`` using the last selected branch, no adaptation."""
         hankel = self.regressor(r)
-        r_bar = hankel[self.patterns[self.last_b_opt]] @ np.conj(self.v)
-        return complex(r_bar @ np.conj(self.w_bar))
+        r_bar = np.dot(hankel[self.patterns[self.last_b_opt]], np.conj(self.v))
+        return complex(np.dot(r_bar, np.conj(self.w_bar)))
 
     def step(self, r, d) -> StepResult:
         """Select a branch, filter one sample, and adapt both blocks."""
@@ -209,11 +209,8 @@ class JidfFilter:
         y_all, e_all, r_bars = self._branch_outputs(hankel, d, cw)
         b = int((np.abs(e_all) ** 2).argmin())
         return _JidfForward(
-            y=complex(y_all[b]),
-            e=complex(e_all[b]),
-            b_opt=b,
-            r_bar=r_bars[b],
-            u=self._interp_regressor(hankel, b, cw),
+            complex(y_all[b]), complex(e_all[b]), b, r_bars[b],
+            self._interp_regressor(hankel, b, cw),
         )
 
     def _commit(self, fwd: _JidfForward) -> None:
@@ -223,14 +220,16 @@ class JidfFilter:
         self.last_b_opt = fwd.b_opt
 
     def _branch_outputs(self, hankel, d, cw):
-        # cw is conj(w_bar), computed once by the caller
-        r_bars = (hankel @ np.conj(self.v))[self.patterns]  # (n_branches, rank)
-        y_all = r_bars @ cw
+        # cw is conj(w_bar), computed once by the caller; np.dot rather than
+        # @ here and below: less call overhead on these small operands, and
+        # the same bits
+        r_bars = np.dot(hankel, np.conj(self.v))[self.patterns]  # (n_branches, rank)
+        y_all = np.dot(r_bars, cw)
         return y_all, complex(d) - y_all, r_bars
 
     def _interp_regressor(self, hankel, branch: int, cw) -> np.ndarray:
         # cw is conj(w_bar); hankel and branch are already checked
-        return hankel[self.patterns[branch]].T @ cw
+        return np.dot(hankel[self.patterns[branch]].T, cw)
 
     def _check(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=np.complex128)

@@ -4,7 +4,11 @@ A run streams packets of QPSK symbols through the downlink model and one
 receiver scheme, averaging per-symbol statistics over independent seeded
 runs (run ``i`` uses generator seed ``base_seed + i``, so results are
 reproducible bit for bit and independent of how many runs execute in
-parallel).  Supported schemes:
+parallel).  ``run_experiment`` and ``snr_sweep`` share one Monte-Carlo
+engine: one work unit per run index runs that run at every SNR point from
+one draw of its signal and noise (common random numbers), at most one
+process pool serves the whole call, and each point's runs are reduced in
+index order.  Supported schemes:
 
 ==============  ==============================================================
 ``fullrank``    single LMS filter over the whole window
@@ -24,7 +28,9 @@ for the whole packet; errors are still counted on the slicer decisions).
 ``train_symbols`` supervised symbols.
 
 The ``RRFILT_THREADS`` environment variable caps the number of worker
-processes (``0`` or unset means one per CPU).
+processes (``0`` or unset means one per CPU).  A record's ``wall_time`` is
+the elapsed time of the call that produced it, shared by every point of a
+sweep.
 """
 
 from __future__ import annotations
@@ -160,6 +166,8 @@ class ExperimentRecord:
     of the scheme output.  Mixing trajectories and branch statistics are
     ``None`` for schemes that do not have them.  Diverged runs (non-finite
     filter state) are excluded from every average and counted.
+    ``wall_time`` is the elapsed seconds of the call that produced the
+    record: for a sweep, the whole sweep.
     """
 
     scheme: str
@@ -380,15 +388,26 @@ def _build_scheme(cfg: ExperimentConfig):
 
 @dataclass
 class _RunResult:
+    """One run at one SNR point.  A diverged run's arrays stop where it
+    diverged; the reduction reads only its flag."""
+
     errors: np.ndarray  # (n_symbols,) uint8 slicer-decision errors
     sq_err: np.ndarray  # (n_symbols,) |d - y|^2
     lambdas: np.ndarray  # (n_symbols, 3) mixing values, NaN where absent
-    b_opt: np.ndarray  # (n_symbols,) first constituent branch, -1 where absent
+    b_opt: np.ndarray  # (n_symbols,) first constituent branch; empty without branches
     branch_hist: np.ndarray  # (n_branches,) selections over all constituents
     diverged: bool
 
 
-def _single_run(cfg: ExperimentConfig, run_idx: int) -> _RunResult:
+def _single_run(
+    cfg: ExperimentConfig, noise_vars: tuple[float, ...], run_idx: int
+) -> list[_RunResult]:
+    """Run ``run_idx`` at each noise variance in turn, one result each.
+
+    The run's signatures, channel, symbols and noise are drawn once, from the
+    generator seeded ``cfg.seed + run_idx``; the points differ only in the
+    noise scale, and each starts from a freshly built scheme.
+    """
     rng = np.random.default_rng(cfg.seed + run_idx)
     cdma = cfg.cdma
     signatures = generate_signatures(cdma.n_users, cdma.n_chips, rng)
@@ -397,20 +416,21 @@ def _single_run(cfg: ExperimentConfig, run_idx: int) -> _RunResult:
     )
     symbols = qpsk_symbols(rng, cdma.n_users, cfg.n_symbols)
     gains = channel.run(cfg.n_symbols)
-    received = generate_received(cdma, signatures, gains, symbols, rng)
-
-    n = cfg.n_symbols
-    errors = np.zeros(n, dtype=np.uint8)
-    sq_err = np.full(n, np.nan)
-    lambdas = np.full((n, 3), np.nan)
-    b_opt = np.full(n, -1, dtype=np.int64)
-    branch_hist = np.zeros(max(cfg.n_branches, 1), dtype=np.int64)
-    desired_user = symbols[0]
-    supervised_until = n if cfg.train_mode == "supervised" else cfg.train_symbols
-    noise_var = cdma.noise_variance
-
+    received = generate_received(cdma, signatures, gains, symbols, rng, noise_vars)
     mmse = MmseReceiver(cdma, signatures) if cfg.scheme == "mmse" else None
+    return [
+        _run_point(cfg, symbols[0], gains, block, noise_var, mmse)
+        for block, noise_var in zip(received, noise_vars)
+    ]
+
+
+def _run_point(cfg, desired_user, gains, received, noise_var, mmse) -> _RunResult:
+    """One run's symbol loop at one noise variance."""
+    n = cfg.n_symbols
+    supervised_until = n if cfg.train_mode == "supervised" else cfg.train_symbols
     scheme = None if mmse is not None else _build_scheme(cfg)
+    # per-symbol bookkeeping in lists, made arrays once per run
+    errors, sq_err, lambdas, b_opt, picks = [], [], [], [], []
     diverged = False
 
     # divergence is flagged, not raised: overflow inside a blowing-up filter
@@ -428,11 +448,10 @@ def _single_run(cfg: ExperimentConfig, run_idx: int) -> _RunResult:
                     d = desired_user[i] if i < supervised_until else detect_qpsk(scheme.predict(r))
                     res = scheme.step(r, d)
                     y, e = res.y, res.e
-                    lambdas[i] = res.lambdas
+                    lambdas.append(res.lambdas)
                     if res.branches:
-                        b_opt[i] = res.branches[0]
-                        for br in res.branches:
-                            branch_hist[br] += 1
+                        b_opt.append(res.branches[0])
+                        picks.extend(res.branches)
             except Diverged:
                 # the combiner's finiteness guard trips on diverged constituents
                 diverged = True
@@ -441,14 +460,23 @@ def _single_run(cfg: ExperimentConfig, run_idx: int) -> _RunResult:
             if not (cmath.isfinite(y) and math.isfinite(err_sq)):
                 diverged = True
                 break
-            errors[i] = detect_qpsk(y) != desired_user[i]
-            sq_err[i] = err_sq
+            errors.append(detect_qpsk(y) != desired_user[i])
+            sq_err.append(err_sq)
 
-    return _RunResult(errors, sq_err, lambdas, b_opt, branch_hist, diverged)
+    return _RunResult(
+        errors=np.array(errors, dtype=np.uint8),
+        sq_err=np.array(sq_err, dtype=np.float64),
+        lambdas=np.array(lambdas) if lambdas else np.full((len(errors), 3), np.nan),
+        b_opt=np.array(b_opt, dtype=np.int64),
+        branch_hist=np.bincount(
+            np.array(picks, dtype=np.int64), minlength=max(cfg.n_branches, 1)
+        ),
+        diverged=diverged,
+    )
 
 
 # ---------------------------------------------------------------------------
-# aggregation
+# the Monte-Carlo engine and its reduction
 # ---------------------------------------------------------------------------
 
 
@@ -466,23 +494,44 @@ def _worker_count(n_runs: int) -> int:
     return max(1, min(workers, n_runs))
 
 
-def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
-    """Run the configured Monte-Carlo experiment and aggregate it.
+def _monte_carlo(points: list[ExperimentConfig]) -> list[ExperimentRecord]:
+    """Run and reduce every point of ``points``, configs that differ at most
+    in ``cdma.snr_db``; one record per point, in order.
 
-    Run ``i`` draws everything (signatures, path placement, fading, symbols,
-    noise) from a generator seeded with ``cfg.seed + i``; the aggregation
-    reduces runs in index order, so records are bit-for-bit reproducible for
-    a given configuration regardless of worker count.
+    Every point is validated before any work starts.  One work unit per run
+    index runs that run at every point (:func:`_single_run`).  With more
+    than one worker and more than one run, the units go to one process pool
+    for the whole call; otherwise they run in order in this process.  Each
+    point's runs are reduced in index order, so the records do not depend on
+    the worker count, and each is bit for bit the record of that point alone.
+    Every record's ``wall_time`` is the elapsed time of the whole call.
     """
-    cfg.validate()
+    for point in points:
+        point.validate()
+    if not points:
+        return []
     t0 = time.perf_counter()
-    workers = _worker_count(cfg.n_runs)
-    if workers > 1 and cfg.n_runs > 1:
+    cfg = points[0]
+    noise_vars = tuple(point.cdma.noise_variance for point in points)
+    n_runs = cfg.n_runs
+    workers = _worker_count(n_runs)
+    if workers > 1 and n_runs > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(_single_run, [cfg] * cfg.n_runs, range(cfg.n_runs)))
+            runs = list(
+                pool.map(_single_run, [cfg] * n_runs, [noise_vars] * n_runs, range(n_runs))
+            )
     else:
-        runs = [_single_run(cfg, i) for i in range(cfg.n_runs)]
+        runs = [_single_run(cfg, noise_vars, i) for i in range(n_runs)]
+    records = [_reduce(point, [run[k] for run in runs]) for k, point in enumerate(points)]
+    wall_time = time.perf_counter() - t0
+    for record in records:
+        record.wall_time = wall_time
+    return records
 
+
+def _reduce(cfg: ExperimentConfig, runs: list[_RunResult]) -> ExperimentRecord:
+    """Aggregate one point's runs, given in run-index order (``wall_time``
+    is left for the caller)."""
     good = [r for r in runs if not r.diverged]
     diverged = cfg.n_runs - len(good)
     n = cfg.n_symbols
@@ -513,6 +562,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
         per_run = np.full(cfg.n_runs, np.nan)
         mode = None
 
+    # each mixing column copied out, so a record does not pin all three
+    lambda_a, lambda_b, lambda_c = (
+        lam[:, slot].copy() if slot in spec.slots else None for slot in range(3)
+    )
     return ExperimentRecord(
         scheme=cfg.scheme,
         n_symbols=n,
@@ -520,21 +573,37 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
         diverged_runs=diverged,
         cumulative_ber=cumulative,
         mse=mse,
-        lambda_a=lam[:, 0] if 0 in spec.slots else None,
-        lambda_b=lam[:, 1] if 1 in spec.slots else None,
-        lambda_c=lam[:, 2] if 2 in spec.slots else None,
+        lambda_a=lambda_a,
+        lambda_b=lambda_b,
+        lambda_c=lambda_c,
         b_opt_mode=mode,
         branch_hist=hist if spec.reduced_rank else None,
         per_run_ber=per_run,
         final_ber=float(cumulative[-1]) if n else float("nan"),
-        wall_time=time.perf_counter() - t0,
+        wall_time=math.nan,
         complexity=_record_complexity(cfg),
     )
 
 
+def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
+    """Run the configured Monte-Carlo experiment and aggregate it.
+
+    Run ``i`` draws everything (signatures, path placement, fading, symbols,
+    noise) from a generator seeded with ``cfg.seed + i``; the aggregation
+    reduces runs in index order, so records are bit-for-bit reproducible for
+    a given configuration regardless of worker count.  This is the one-point
+    case of :func:`snr_sweep`'s engine.
+    """
+    return _monte_carlo([cfg])[0]
+
+
 def snr_sweep(cfg: ExperimentConfig, snr_list) -> list[ExperimentRecord]:
-    """Repeat the experiment at each SNR point with shared per-run seeds,
-    so points are directly comparable (common random numbers)."""
+    """The experiment at each SNR point, with shared per-run seeds, so points
+    are directly comparable (common random numbers): run ``i`` sees the same
+    signatures, fading, symbols and noise draws at every point, only scaled
+    to the point's noise variance.  Each record is bit for bit what
+    :func:`run_experiment` gives at that point alone; the runs are drawn once
+    and share one process pool across all points."""
     points = []
     for snr in snr_list:
         try:
@@ -542,7 +611,7 @@ def snr_sweep(cfg: ExperimentConfig, snr_list) -> list[ExperimentRecord]:
         except ValueError as exc:
             raise ConfigError(f"SNR point {snr!r}: {exc}") from exc
         points.append(dataclasses.replace(cfg, cdma=cdma))
-    return [run_experiment(point) for point in points]
+    return _monte_carlo(points)
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,13 @@ class TestSignatures:
         with pytest.raises(ValueError):
             generate_signatures(5, 2, np.random.default_rng(3))
 
+    def test_config_rejects_more_users_than_signatures(self):
+        CdmaConfig(n_users=4, n_chips=2, n_paths=1)
+        with pytest.raises(ValueError, match="5 users need distinct signatures"):
+            CdmaConfig(n_users=5, n_chips=2, n_paths=1)
+        with pytest.raises(ValueError, match="distinct signatures"):
+            CdmaConfig(n_users=2**40 + 1, n_chips=40, n_paths=1)
+
 
 class TestConvolutionMatrix:
     def test_single_path_is_the_signature(self):
@@ -189,6 +196,45 @@ class TestGenerateReceived:
         lib = generate_received(cfg, sigs, gains, symbols, rng_lib)
         oracle = chip_stream_oracle(cfg, sigs, gains, symbols, rng_oracle)
         assert_array_equal(lib, oracle)
+
+    def test_matches_chip_stream_oracle_at_desk_dimensions(self):
+        # 9 taps, of which the three paths occupy at most 3: the library
+        # skips the all-zero gain columns, the oracle adds their zeros
+        cfg = CdmaConfig(
+            n_users=8, n_chips=32, n_paths=9, snr_db=15.0, doppler=5e-3,
+            amplitudes=(1.0,) + (0.35,) * 7,
+        )
+        setup = np.random.default_rng(20240)
+        sigs = generate_signatures(8, 32, setup)
+        gains = ClarkeChannel(9, 5e-3, setup).run(12)
+        symbols = qpsk_symbols(setup, 8, 12)
+        assert (~(gains != 0).any(axis=0)).sum() >= 6
+        lib = generate_received(cfg, sigs, gains, symbols, np.random.default_rng(5))
+        oracle = chip_stream_oracle(cfg, sigs, gains, symbols, np.random.default_rng(5))
+        assert_array_equal(lib, oracle)
+
+    def test_several_variances_equal_separate_calls(self):
+        cfg = CdmaConfig(
+            n_users=3, n_chips=8, n_paths=5, snr_db=12.0,
+            amplitudes=(1.0, 0.7, 1.3),
+        )
+        setup = np.random.default_rng(16)
+        sigs = generate_signatures(3, 8, setup)
+        gains = ClarkeChannel(5, 1e-3, setup).run(30)
+        symbols = qpsk_symbols(setup, 3, 30)
+        variances = (cfg.noise_variance, 0.0, 2.5, 1e-3)
+        rng = np.random.default_rng(17)
+        stacked = generate_received(cfg, sigs, gains, symbols, rng, variances)
+        after = rng.standard_normal()
+        assert stacked.shape == (4, 30, cfg.window_len)
+        for block, var in zip(stacked, variances):
+            alone_rng = np.random.default_rng(17)
+            alone = generate_received(cfg, sigs, gains, symbols, alone_rng, var)
+            assert_array_equal(block, alone)
+            # one draw serves every variance: the generator ends in one state
+            assert alone_rng.standard_normal() == after
+        default = generate_received(cfg, sigs, gains, symbols, np.random.default_rng(17))
+        assert_array_equal(default, stacked[0])
 
     def test_linear_in_each_symbol(self):
         cfg = CdmaConfig(n_users=2, n_chips=8, n_paths=3, snr_db=np.inf)

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import pytest
 import yaml
 from numpy.testing import assert_array_equal
 
+from rrfilt import harness
 from rrfilt.cdma import CdmaConfig
 from rrfilt.combiners import Diverged, SchemeB
 from rrfilt.filters import JidfFilter
@@ -307,6 +309,97 @@ class TestSnrSweep:
         assert records[1].final_ber <= records[0].final_ber
 
 
+def assert_same_record(got, want):
+    """Every field but ``wall_time`` equal bit for bit (dtype, shape, bytes)."""
+    for f in dataclasses.fields(ExperimentRecord):
+        if f.name == "wall_time":
+            continue
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+        else:
+            assert repr(a) == repr(b), f.name
+
+
+def _failing_unit(cfg, noise_vars, run_idx):
+    raise RuntimeError("unit failed")
+
+
+class TestMonteCarloEngine:
+    SNRS = [6.0, 12.0, math.inf]
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Pool constructions, counted through the name the engine uses; two
+        CPUs, so that ``RRFILT_THREADS=2`` means two workers on any box."""
+        made = []
+
+        class Counting(harness.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Counting)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        return made
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize(
+        "scheme,mode", [("scheme_b", "semi"), ("mmse", "supervised")]
+    )
+    def test_sweep_points_equal_their_own_runs(self, monkeypatch, pools, scheme, mode,
+                                               threads):
+        monkeypatch.setenv("RRFILT_THREADS", threads)
+        cfg = tiny_config(scheme, train_mode=mode, train_symbols=30)
+        swept = snr_sweep(cfg, self.SNRS)
+        assert len(swept) == 3
+        assert len({rec.wall_time for rec in swept}) == 1  # one call, one time
+        for snr, rec in zip(self.SNRS, swept):
+            point = dataclasses.replace(cfg, cdma=dataclasses.replace(cfg.cdma, snr_db=snr))
+            assert_same_record(rec, run_experiment(point))
+        # the points differ, so the check above compares three distinct records
+        assert swept[0].mse.tobytes() != swept[2].mse.tobytes()
+        # with two workers, the sweep and each of the three runs took one pool
+        assert pools == ([2] * 4 if threads == "2" else [])
+
+    def test_one_pool_per_call(self, monkeypatch, pools):
+        monkeypatch.setenv("RRFILT_THREADS", "2")
+        snr_sweep(tiny_config("scheme_b", n_runs=4), [6.0, 12.0, 18.0])
+        assert pools == [2]
+        run_experiment(tiny_config("jidf", n_runs=2))
+        assert pools == [2, 2]
+        # a single run, or a single worker, starts no pool
+        run_experiment(tiny_config("jidf", n_runs=1))
+        snr_sweep(tiny_config("jidf", n_runs=1), [6.0, 12.0])
+        monkeypatch.setenv("RRFILT_THREADS", "1")
+        snr_sweep(tiny_config("jidf", n_runs=4), [6.0, 12.0])
+        assert pools == [2, 2]
+
+    def test_every_point_validated_before_any_work(self, monkeypatch):
+        def unit_must_not_run(*args):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(harness, "_single_run", unit_must_not_run)
+        with pytest.raises(ConfigError, match="SNR point"):
+            snr_sweep(tiny_config("jidf"), [12.0, math.nan])
+        bad = tiny_config("jidf", n_runs=0)
+        with pytest.raises(ConfigError, match="n_runs"):
+            snr_sweep(bad, [6.0, 12.0])
+
+    def test_no_worker_outlives_the_call(self, monkeypatch, pools):
+        monkeypatch.setenv("RRFILT_THREADS", "2")
+        snr_sweep(tiny_config("jidf", n_runs=2), [6.0, 12.0])
+        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(harness, "_single_run", _failing_unit)
+        with pytest.raises(RuntimeError, match="unit failed"):
+            snr_sweep(tiny_config("jidf", n_runs=2), [6.0, 12.0])
+        assert multiprocessing.active_children() == []
+        with pytest.raises(RuntimeError, match="unit failed"):
+            run_experiment(tiny_config("jidf", n_runs=2))
+        assert multiprocessing.active_children() == []
+        assert pools == [2, 2, 2]
+
+
 class TestCsv:
     def test_round_trip_to_ten_significant_digits(self, tmp_path):
         rec = run_experiment(tiny_config("scheme_b"))
@@ -530,3 +623,62 @@ class TestCliRejectsBadValues:
         cfg = self._edited(tmp_path, lambda c: None)
         assert main(["sweep", "--config", str(cfg), "--snr", f"10,{snr}"]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_more_users_than_signatures(self, tmp_path, capsys, command):
+        # 2 chips give only 4 distinct binary signatures
+        edit = lambda c: c.update(cdma={"users": 5, "chips": 2, "paths": 1})  # noqa: E731
+        cfg = self._edited(tmp_path, edit, "mmse.yaml")
+        out = tmp_path / "o.csv"
+        args = [command, "--config", str(cfg), "--out", str(out)]
+        assert main(args + (["--snr", "10"] if command == "sweep" else [])) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: cdma section: 5 users need distinct signatures"
+        )
+        assert not out.exists()
+
+
+class TestCliEdges:
+    """Edge values of the run count and the training window, end to end."""
+
+    def _write(self, tmp_path, name, **changes):
+        data = yaml.safe_load((CONFIGS / "scheme_b.yaml").read_text())
+        data.update({"n_symbols": 80, "n_runs": 3, **changes})
+        path = tmp_path / f"{name}.yaml"
+        path.write_text(yaml.safe_dump(data))
+        return path
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_single_run(self, tmp_path, capsys, monkeypatch, threads):
+        monkeypatch.setenv("RRFILT_THREADS", threads)
+        cfg = self._write(tmp_path, "one", n_runs=1)
+        run_out, sweep_out = tmp_path / "run.csv", tmp_path / "sweep.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(run_out)]) == 0
+        assert "runs=1 (diverged=0)" in capsys.readouterr().out
+        assert main(["sweep", "--config", str(cfg), "--snr", "6,15",
+                     "--out", str(sweep_out)]) == 0
+        with open(run_out, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        with open(sweep_out, newline="") as handle:
+            points = list(csv.DictReader(handle))
+        assert len(rows) == 80 and len(points) == 2
+        # the config's own SNR is 15 dB: its sweep row is the run's last row
+        assert (points[1]["ber"], points[1]["mse"]) == (rows[-1]["ber"], rows[-1]["mse"])
+        assert points[1]["diverged_runs"] == "0"
+        assert points[0]["mse"] != points[1]["mse"]
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_training_window_longer_than_packet_is_supervised(self, tmp_path, capsys,
+                                                              command):
+        semi = self._write(tmp_path, "semi", train_mode="semi", train_symbols=500)
+        supervised = self._write(tmp_path, "supervised")
+        outs = []
+        for cfg in (semi, supervised):
+            out = tmp_path / f"{cfg.stem}.csv"
+            args = [command, "--config", str(cfg), "--out", str(out)]
+            assert main(args + (["--snr", "6,15"] if command == "sweep" else [])) == 0
+            outs.append(out.read_text())
+        assert outs[0] == outs[1]
+        assert len(outs[0].splitlines()) == (81 if command == "run" else 3)
+        assert_same_record(run_experiment(load_config(semi)),
+                           run_experiment(load_config(supervised)))
