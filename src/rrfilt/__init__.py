@@ -21,6 +21,8 @@ harness
 Every adaptive scheme, one filter or a tree of them, can ``step(r, d)``
 (returning a ``StepResult``), ``predict(r)`` without adapting, and give its
 ``equivalent()`` window-length filter, with ``equivalent()^H r == predict(r)``.
+``d`` may be a decision function such as ``detect_qpsk``, applied to the
+pre-update output (decision-directed adaptation).
 """
 
 from .cdma import (

@@ -75,6 +75,15 @@ class CdmaConfig:
             raise ValueError("doppler must be finite and non-negative")
         if math.isnan(self.snr_db) or self.snr_db == -math.inf:
             raise ValueError("snr_db must be a number or +inf (noiseless)")
+        try:
+            finite_noise = math.isfinite(self.noise_variance)
+        except OverflowError:
+            finite_noise = False
+        if not finite_noise:
+            raise ValueError(
+                f"snr_db {self.snr_db} with desired amplitude {self.amplitudes[0]} "
+                "gives a noise variance beyond the float range"
+            )
         self.path_profile_db = tuple(float(p) for p in self.path_profile_db)
         with np.errstate(over="ignore"):  # the channel normalizes by this sum
             total = (10.0 ** (np.asarray(self.path_profile_db) / 10.0)).sum()

@@ -11,12 +11,15 @@ node ``c``; the CLMS baseline mixes two full-tap LMS filters through one
 node ``a``.
 
 A tree speaks the constituents' protocol (:mod:`rrfilt.filters`): ``step``,
-``predict`` and ``equivalent()``.  A step steps every constituent through
-its own ``step``, each adapting with its own error, then mixes their
-pre-update outputs bottom-up; each node reads its mixing value, forms its
-output and then adapts with the error of that output.  Nodes and
-constituents share no state, so every quantity a step reports is a
-pre-update one.
+``predict`` and ``equivalent()``.  A step prepares every constituent's input
+once; given a decision function in place of the desired response, it
+applies it to the tree's pre-update prediction (the mix of the
+constituents' predictions, formed before any constituent steps) and adapts
+toward the decision.  It then steps every constituent on its prepared
+input, each adapting with its own error, and mixes their pre-update outputs
+bottom-up; each node reads its mixing value, forms its output and then
+adapts with the error of that output.  Nodes and constituents share no
+state, so every quantity a step reports is a pre-update one.
 """
 
 from __future__ import annotations
@@ -128,10 +131,19 @@ class MixTree:
 
     def step(self, r, d) -> StepResult:
         # plain loops, not comprehensions: this runs once per symbol
+        filters = self.filters
+        xs = []
+        for f in filters:
+            xs.append(f._input(r))
+        if callable(d):
+            ys = []
+            for f, x in zip(filters, xs):
+                ys.append(f._predict(x))
+            d = d(self._mix(ys))
         d = complex(d)
         ys, branches = [], []
-        for f in self.filters:
-            res = f.step(r, d)
+        for f, x in zip(filters, xs):
+            res = f._step(x, d)
             ys.append(res.y)
             branches += res.branches
         outputs = tuple(ys)

@@ -15,9 +15,20 @@ selection, and a short filter (the JIDF structure).  Shared conventions:
 Each filter, like every mixing tree of them (:mod:`rrfilt.combiners`), can
 ``step`` (returning a :class:`StepResult`), ``predict`` without adapting,
 and give its ``equivalent()`` window-length filter, which satisfies
-``equivalent()^H r == predict(r)``.  ``step`` runs ``_forward`` (outputs,
-branch choice, gradients) then ``_commit`` (coefficient updates), the
-forward-pass/commit boundary the benchmark times.
+``equivalent()^H r == predict(r)``.  ``step(r, d)`` takes the desired
+response ``d`` or a decision function in its place: the function is applied
+to the pre-update output ``predict(r)`` and the step adapts toward its
+result (decision-directed operation).
+
+A filter prepares its per-symbol input once: ``_input(r)`` is the checked
+window for full-tap LMS and, for JIDF, the Hankel regressor with the
+conjugated interpolator and filter.  ``predict`` and ``step`` are thin
+wrappers over ``_predict(x)`` and ``_step(x, d)`` on that input, so a
+decision-directed step builds one regressor, not two, and a mixing tree
+prepares each constituent once for both its prediction and its step.
+``_step`` runs ``_forward`` (outputs, branch choice, gradients) then
+``_commit`` (coefficient updates), the forward-pass/commit boundary the
+benchmark times.
 """
 
 from __future__ import annotations
@@ -31,6 +42,14 @@ from .signalcore import build_hankel, generate_decimation_patterns
 
 
 _NO_MIXING = (math.nan, math.nan, math.nan)
+
+
+def _window(r, num_taps: int) -> np.ndarray:
+    """``r`` as a complex vector, checked to hold exactly ``num_taps`` samples."""
+    r = np.asarray(r, dtype=np.complex128)
+    if r.shape != (num_taps,):
+        raise ValueError(f"expected a length-{num_taps} input vector")
+    return r
 
 
 @dataclass
@@ -89,32 +108,39 @@ class FullRankLms:
 
     def predict(self, r) -> complex:
         """Output for ``r`` with the current coefficients, no adaptation."""
-        r = self._check(r)
-        return complex(np.vdot(self.w, r))
+        return self._predict(self._input(r))
 
     def step(self, r, d) -> StepResult:
-        """Filter one sample and adapt: ``w += mu * conj(e) * r``."""
-        fwd = self._forward(r, d)
-        self._commit(fwd)
-        return StepResult(fwd.y, fwd.e, (fwd.y,), (), _NO_MIXING)
+        """Filter one sample and adapt: ``w += mu * conj(e) * r``.  ``d`` is
+        the desired response or a decision function of the output."""
+        return self._step(self._input(r), d)
 
     def equivalent(self) -> np.ndarray:
         """The coefficients themselves: ``equivalent()^H r == predict(r)``."""
         return self.w
 
-    def _forward(self, r, d) -> _LmsForward:
-        r = self._check(r)
-        y = complex(np.vdot(self.w, r))
-        return _LmsForward(y, complex(d) - y, r)
+    # -- internals: x is the prepared input of ``_input`` -------------------
+
+    def _input(self, r) -> np.ndarray:
+        """The checked window."""
+        return _window(r, self.num_taps)
+
+    def _predict(self, x) -> complex:
+        return np.vdot(self.w, x).item()
+
+    def _step(self, x, d) -> StepResult:
+        if callable(d):
+            d = d(self._predict(x))
+        fwd = self._forward(x, d)
+        self._commit(fwd)
+        return StepResult(fwd.y, fwd.e, (fwd.y,), (), _NO_MIXING)
+
+    def _forward(self, x, d) -> _LmsForward:
+        y = np.vdot(self.w, x).item()
+        return _LmsForward(y, complex(d) - y, x)
 
     def _commit(self, fwd: _LmsForward) -> None:
-        self.w = self.w + self.mu * np.conj(fwd.e) * fwd.r
-
-    def _check(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=np.complex128)
-        if r.shape != (self.num_taps,):
-            raise ValueError(f"expected a length-{self.num_taps} input vector")
-        return r
+        self.w = self.w + self.mu * fwd.e.conjugate() * fwd.r
 
 
 class JidfFilter:
@@ -173,21 +199,21 @@ class JidfFilter:
         self.last_b_opt = 0
 
     def regressor(self, r) -> np.ndarray:
-        """Hankel regressor of the window ``r`` at this filter's sizes."""
-        r = self._check(r)
-        return build_hankel(r, self.num_taps, self.interp_len)
+        """Hankel regressor of the window ``r`` at this filter's sizes.
+
+        The window is checked here, once; ``build_hankel`` then takes its
+        fast path for an exact-length complex window.
+        """
+        return build_hankel(_window(r, self.num_taps), self.num_taps, self.interp_len)
 
     def predict(self, r) -> complex:
         """Output for ``r`` using the last selected branch, no adaptation."""
-        hankel = self.regressor(r)
-        r_bar = np.dot(hankel[self.patterns[self.last_b_opt]], np.conj(self.v))
-        return complex(np.dot(r_bar, np.conj(self.w_bar)))
+        return self._predict(self._input(r))
 
     def step(self, r, d) -> StepResult:
-        """Select a branch, filter one sample, and adapt both blocks."""
-        fwd = self._forward(r, d)
-        self._commit(fwd)
-        return StepResult(fwd.y, fwd.e, (fwd.y,), (fwd.b_opt,), _NO_MIXING)
+        """Select a branch, filter one sample, and adapt both blocks.  ``d``
+        is the desired response or a decision function of the output."""
+        return self._step(self._input(r), d)
 
     def equivalent(self) -> np.ndarray:
         """Window-length filter equivalent to this structure on the last
@@ -200,39 +226,47 @@ class JidfFilter:
         scattered[self.patterns[self.last_b_opt]] = self.w_bar
         return np.convolve(scattered, self.v)[: self.num_taps]
 
-    # -- internals ---------------------------------------------------------
+    # -- internals: x is the prepared input of ``_input`` -------------------
+    # np.dot rather than @, take(rows, 0) rather than hankel[rows], item()
+    # rather than complex() and Python complex scalars in the commit: less
+    # call overhead on these small operands, and the same bits
 
-    def _forward(self, r, d) -> _JidfForward:
+    def _input(self, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(hankel, conj(v), conj(w_bar))`` of the window ``r``, taken
+        from the pre-update coefficients."""
+        return self.regressor(r), np.conj(self.v), np.conj(self.w_bar)
+
+    def _predict(self, x) -> complex:
+        # rows gathered before the product: _forward's order (product, then
+        # gather) rounds differently, and this one fixes the semi records
+        hankel, cv, cw = x
+        return np.dot(np.dot(hankel.take(self.patterns[self.last_b_opt], 0), cv), cw).item()
+
+    def _step(self, x, d) -> StepResult:
+        if callable(d):
+            d = d(self._predict(x))
+        fwd = self._forward(x, d)
+        self._commit(fwd)
+        return StepResult(fwd.y, fwd.e, (fwd.y,), (fwd.b_opt,), _NO_MIXING)
+
+    def _forward(self, x, d) -> _JidfForward:
         """Pre-update outputs of every branch and the winner's gradients."""
-        hankel = self.regressor(r)
-        cw = np.conj(self.w_bar)
-        y_all, e_all, r_bars = self._branch_outputs(hankel, d, cw)
+        hankel, cv, cw = x
+        r_bars = np.dot(hankel, cv)[self.patterns]  # (n_branches, rank)
+        y_all = np.dot(r_bars, cw)
+        e_all = complex(d) - y_all
         b = int((np.abs(e_all) ** 2).argmin())
         return _JidfForward(
-            complex(y_all[b]), complex(e_all[b]), b, r_bars[b],
+            y_all.item(b), e_all.item(b), b, r_bars[b],
             self._interp_regressor(hankel, b, cw),
         )
 
     def _commit(self, fwd: _JidfForward) -> None:
-        ce = np.conj(fwd.e)
+        ce = fwd.e.conjugate()
         self.v = self.v + self.eta * ce * fwd.u
         self.w_bar = self.w_bar + self.mu * ce * fwd.r_bar
         self.last_b_opt = fwd.b_opt
 
-    def _branch_outputs(self, hankel, d, cw):
-        # cw is conj(w_bar), computed once by the caller; np.dot rather than
-        # @ here and below: less call overhead on these small operands, and
-        # the same bits
-        r_bars = np.dot(hankel, np.conj(self.v))[self.patterns]  # (n_branches, rank)
-        y_all = np.dot(r_bars, cw)
-        return y_all, complex(d) - y_all, r_bars
-
     def _interp_regressor(self, hankel, branch: int, cw) -> np.ndarray:
         # cw is conj(w_bar); hankel and branch are already checked
-        return np.dot(hankel[self.patterns[branch]].T, cw)
-
-    def _check(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=np.complex128)
-        if r.shape != (self.num_taps,):
-            raise ValueError(f"expected a length-{self.num_taps} input vector")
-        return r
+        return np.dot(hankel.take(self.patterns[branch], 0).T, cw)

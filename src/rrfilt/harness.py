@@ -25,7 +25,10 @@ non-adaptive MMSE oracle is the only other path.
 Training is supervised by default (the desired response is the true symbol
 for the whole packet; errors are still counted on the slicer decisions).
 ``train_mode: semi`` switches to decision-directed operation after
-``train_symbols`` supervised symbols.
+``train_symbols`` supervised symbols: the harness then passes the slicer
+``detect_qpsk`` as ``d``, and the scheme slices its own pre-update output
+and adapts toward that decision within the one ``step`` call, building one
+regressor per constituent per symbol.
 
 The ``RRFILT_THREADS`` environment variable caps the number of worker
 processes (``0`` or unset means one per CPU).  A record's ``wall_time`` is
@@ -133,6 +136,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown scheme {self.scheme!r}; pick one of {SCHEMES}")
         if self.n_symbols < 1 or self.n_runs < 1:
             raise ConfigError("n_symbols and n_runs must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.train_mode not in ("supervised", "semi"):
             raise ConfigError("train_mode must be 'supervised' or 'semi'")
         if self.train_mode == "semi" and self.train_symbols < 0:
@@ -153,7 +158,7 @@ class ExperimentConfig:
         if spec.constituents:
             try:
                 _build_scheme(self)
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:  # overflow: sizes past any index
                 raise ConfigError(f"scheme {self.scheme!r}: {exc}") from exc
 
 
@@ -215,7 +220,7 @@ _KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}
 def _reject_unknown(mapping: dict, allowed, where: str) -> None:
     unknown = set(mapping).difference(allowed)
     if unknown:
-        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown, key=str)}")
 
 
 def _convert(kind, value, key: str):
@@ -262,8 +267,13 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(f"cdma section: {exc}") from exc
 
+    branch_data = data.get("branches")
+    if branch_data is None:
+        branch_data = []
+    if not isinstance(branch_data, (list, tuple)):
+        raise ConfigError(f"branches must be a list of mappings, got {branch_data!r}")
     branches = []
-    for i, entry in enumerate(data.get("branches", []) or []):
+    for i, entry in enumerate(branch_data):
         if not isinstance(entry, dict):
             raise ConfigError(f"branch {i} must be a mapping")
         _reject_unknown(entry, _BRANCH_KEYS, f"branch {i}")
@@ -274,7 +284,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             for k, v in entry.items()
         }))
 
-    comb_data = data.get("combiners", {}) or {}
+    comb_data = data.get("combiners")
+    if comb_data is None:
+        comb_data = {}
     if not isinstance(comb_data, dict):
         raise ConfigError("combiners section must be a mapping")
     _reject_unknown(comb_data, _COMBINER_KEYS, "combiners")
@@ -297,7 +309,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     """Parse a YAML experiment configuration; fails fast on unknown keys."""
     with open(path, "r", encoding="utf-8") as handle:
-        data = yaml.safe_load(handle)
+        try:
+            data = yaml.safe_load(handle)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"{path}: not valid YAML: {exc}") from None
     if data is None:
         raise ConfigError(f"{path}: empty configuration")
     return config_from_dict(data)
@@ -445,8 +460,8 @@ def _run_point(cfg, desired_user, gains, received, noise_var, mmse) -> _RunResul
                     d = desired_user[i] if i < supervised_until else detect_qpsk(y)
                     e = d - y
                 else:
-                    d = desired_user[i] if i < supervised_until else detect_qpsk(scheme.predict(r))
-                    res = scheme.step(r, d)
+                    # past training, the scheme decides on its own output
+                    res = scheme.step(r, desired_user[i] if i < supervised_until else detect_qpsk)
                     y, e = res.y, res.e
                     lambdas.append(res.lambdas)
                     if res.branches:

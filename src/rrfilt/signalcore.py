@@ -47,14 +47,17 @@ def build_hankel(samples, num_taps: int, interp_len: int) -> NDArray[np.complex1
     if interp_len < 1:
         raise ValueError("interp_len must be >= 1")
     s = np.asarray(samples, dtype=np.complex128)
-    if s.ndim != 1:
-        raise ValueError("samples must be one-dimensional")
-    if s.size < num_taps:
-        raise ValueError(f"need at least {num_taps} samples, got {s.size}")
     needed = num_taps + interp_len - 1
+    # a bare window (what the filters pass, already checked) needs no
+    # further check or trim
+    if s.shape != (num_taps,):
+        if s.ndim != 1:
+            raise ValueError("samples must be one-dimensional")
+        if s.size < num_taps:
+            raise ValueError(f"need at least {num_taps} samples, got {s.size}")
+        s = s[:needed]
     buf = np.zeros(needed, dtype=np.complex128)
-    take = min(s.size, needed)
-    buf[:take] = s[:take]
+    buf[: s.size] = s
     return buf[_hankel_index(num_taps, interp_len)]
 
 

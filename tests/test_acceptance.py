@@ -73,7 +73,7 @@ def test_c1_algebraic_identities():
         for row in range(m):
             for col in range(max(row - i + 1, 0), row + 1):
                 mat[row, col] = v[row - col]
-        # the product _branch_outputs forms before decimating
+        # the product JidfFilter._forward forms before decimating
         correlation = build_hankel(r, m, i) @ np.conj(v)
         assert np.max(np.abs(correlation - mat.conj().T @ r)) <= 1e-12
 
@@ -124,7 +124,7 @@ def test_c2_gradient_checks():
         r = _crand(rng, f.num_taps)
         d = complex(*rng.standard_normal(2))
         hankel = f.regressor(r)
-        fwd = f._forward(r, d)  # the gradients the commit applies
+        fwd = f._forward(f._input(r), d)  # the gradients the commit applies
         e, r_bar, u = fwd.e, fwd.r_bar, fwd.u
         idx = f.patterns[fwd.b_opt]
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
+from rrfilt.cdma import detect_qpsk
 from rrfilt.combiners import Clms, Combiner, SchemeA, SchemeB, sigmoid
 from rrfilt.filters import FullRankLms, JidfFilter
 
@@ -347,6 +348,30 @@ _TREES = {
 }
 
 
+def _draw_constituents(data, rng, kind, m):
+    """Constituents of scheme ``kind`` at window length ``m``, in random
+    states: full-tap LMS filters for ``fullrank`` and ``clms``, JIDF filters
+    of drawn sizes otherwise."""
+    filters = []
+    for _ in range(len(_TREES.get(kind, ())) + 1):
+        if kind in ("fullrank", "clms"):
+            f = FullRankLms(m, mu=float(rng.uniform(0, 0.2)))
+            f.w = _random_complex(rng, m)
+            filters.append(f)
+            continue
+        rank = data.draw(st.integers(1, m), label="rank")
+        n_branches = data.draw(
+            st.integers(1, m - (rank - 1) * (m // rank)), label="branches"
+        )
+        f = JidfFilter(
+            m, data.draw(st.integers(1, m), label="interp_len"), rank, n_branches,
+            eta=float(rng.uniform(0, 0.05)), mu=float(rng.uniform(0, 0.2)),
+        )
+        _randomize(f, rng).last_b_opt = int(rng.integers(n_branches))
+        filters.append(f)
+    return filters
+
+
 class TestConstituentSteps:
     """Inside a scheme step every constituent must take exactly the step it
     takes alone, and the mixing arithmetic must be the closed form.  Values
@@ -361,23 +386,7 @@ class TestConstituentSteps:
         kind = data.draw(st.sampled_from(sorted(_TREES)), label="scheme")
         tree = _TREES[kind]
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        filters = []
-        for _ in range(len(tree) + 1):
-            if kind == "clms":
-                f = FullRankLms(m, mu=float(rng.uniform(0, 0.2)))
-                f.w = _random_complex(rng, m)
-                filters.append(f)
-                continue
-            rank = data.draw(st.integers(1, m), label="rank")
-            n_branches = data.draw(
-                st.integers(1, m - (rank - 1) * (m // rank)), label="branches"
-            )
-            f = JidfFilter(
-                m, data.draw(st.integers(1, m), label="interp_len"), rank, n_branches,
-                eta=float(rng.uniform(0, 0.05)), mu=float(rng.uniform(0, 0.2)),
-            )
-            _randomize(f, rng).last_b_opt = int(rng.integers(n_branches))
-            filters.append(f)
+        filters = _draw_constituents(data, rng, kind, m)
         solos = copy.deepcopy(filters)
         u_max = data.draw(st.floats(0.5, 8.0), label="u_max")
         mus = [float(rng.uniform(0, 2)) for _ in tree]
@@ -420,3 +429,57 @@ class TestConstituentSteps:
             assert repr(diag.y) == repr(ys[-1])
             assert repr(diag.e) == repr(d - ys[-1])
             assert repr(diag.lambdas) == repr(tuple(lambdas))
+
+
+def _state(scheme) -> tuple:
+    """Every adapted quantity of a filter or tree, as exact bytes and reprs."""
+    filters = getattr(scheme, "filters", [scheme])
+    leaves = tuple(
+        (f.w.tobytes(),) if isinstance(f, FullRankLms)
+        else (f.v.tobytes(), f.w_bar.tobytes(), f.last_b_opt)
+        for f in filters
+    )
+    return leaves, tuple(repr(c.u) for c in getattr(scheme, "combiners", []))
+
+
+class TestDecisionDirectedStep:
+    """``step(r, decide)`` must be ``step(r, decide(predict(r)))`` bit for bit
+    for every adaptive scheme: the decision is taken on the pre-update
+    prediction (a tree's mix of its constituents' predictions), once, and
+    every constituent adapts toward it."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_decision_function_equals_sliced_prediction(self, data):
+        kind = data.draw(
+            st.sampled_from(["fullrank", "jidf", *sorted(_TREES)]), label="scheme"
+        )
+        m = data.draw(st.integers(1, 12), label="num_taps")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        filters = _draw_constituents(data, rng, kind, m)
+        mus = [float(rng.uniform(0, 2)) for _ in _TREES.get(kind, ())]
+        scheme = {
+            "fullrank": lambda: filters[0], "jidf": lambda: filters[0],
+            "clms": lambda: Clms(filters, *mus),
+            "scheme_b": lambda: SchemeB(filters, *mus),
+            "scheme_a": lambda: SchemeA(filters, *mus),
+        }[kind]()
+        for c in getattr(scheme, "combiners", []):
+            c.u = float(rng.uniform(-c.u_max, c.u_max))
+        for _ in range(3):
+            r = _random_complex(rng, m)
+            by_function, by_symbol = copy.deepcopy(scheme), copy.deepcopy(scheme)
+            seen = []
+
+            def decide(y):
+                seen.append(y)
+                return detect_qpsk(y)
+
+            got = by_function.step(r, decide)
+            prediction = by_symbol.predict(r)
+            want = by_symbol.step(r, detect_qpsk(prediction))
+            assert [repr(y) for y in seen] == [repr(prediction)]
+            for name in ("y", "e", "outputs", "branches", "lambdas"):
+                assert repr(getattr(got, name)) == repr(getattr(want, name)), name
+            assert _state(by_function) == _state(by_symbol)
+            scheme = by_function

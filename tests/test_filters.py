@@ -123,7 +123,7 @@ class TestJidfStep:
         rng = np.random.default_rng(6)
         r = _random_complex(rng, 6)
         d = 1 - 2j
-        r_bar = f._forward(r, d).r_bar
+        r_bar = f._forward(f._input(r), d).r_bar
         res = f.step(r, d)
         assert res.y == 0
         assert res.e == d
@@ -174,12 +174,27 @@ class TestJidfStep:
         d = complex(*rng.standard_normal(2))
         hankel = f.regressor(r)
         v0, w0 = f.v.copy(), f.w_bar.copy()
-        fwd = f._forward(r, d)
+        fwd = f._forward(f._input(r), d)
         b, e, r_bar = fwd.b_opt, fwd.e, fwd.r_bar
         u = hankel[f.patterns[b]].T @ np.conj(w0)
         f.step(r, d)
         assert_allclose(f.v, v0 + f.eta * np.conj(e) * u, atol=1e-14)
         assert_allclose(f.w_bar, w0 + f.mu * np.conj(e) * r_bar, atol=1e-14)
+
+
+class TestPredict:
+    def test_gathers_rows_before_the_product(self):
+        # the arithmetic of the decision-directed input, bit for bit: the
+        # winning branch's Hankel rows first, then the interpolator, then the
+        # reduced-rank filter (the other order differs in the last bits)
+        rng = np.random.default_rng(19)
+        for _ in range(200):
+            f = _random_filter(rng)
+            f.last_b_opt = int(rng.integers(f.n_branches))
+            r = _random_complex(rng, f.num_taps)
+            rows = f.regressor(r)[f.patterns[f.last_b_opt]]
+            want = np.dot(np.dot(rows, np.conj(f.v)), np.conj(f.w_bar))
+            assert repr(f.predict(r)) == repr(complex(want))
 
 
 class TestDualOutput:
@@ -297,7 +312,7 @@ class TestGradientDirections:
             r = _random_complex(rng, f.num_taps)
             d = complex(*rng.standard_normal(2))
             hankel = f.regressor(r)
-            fwd = f._forward(r, d)  # the gradients the commit applies
+            fwd = f._forward(f._input(r), d)  # the gradients the commit applies
             e, r_bar, u = fwd.e, fwd.r_bar, fwd.u
             idx = f.patterns[fwd.b_opt]
 
@@ -342,3 +357,15 @@ class TestValidation:
         f = JidfFilter(6, 2, 3, 2, eta=0.01, mu=0.05)
         with pytest.raises(ValueError):
             f.step(np.zeros(5), 0.0)
+
+    @pytest.mark.parametrize("shape", [(5,), (7,), (6, 1), (1, 6), ()])
+    def test_window_must_have_exactly_num_taps_samples(self, shape):
+        # trailing samples, which build_hankel would accept, are refused too
+        r = np.ones(shape, dtype=complex)
+        for f in (JidfFilter(6, 2, 3, 2, eta=0.01, mu=0.05), FullRankLms(6, mu=0.1)):
+            calls = [lambda: f.predict(r), lambda: f.step(r, 1.0)]
+            if isinstance(f, JidfFilter):
+                calls.append(lambda: f.regressor(r))
+            for call in calls:
+                with pytest.raises(ValueError, match="expected a length-6 input vector"):
+                    call()

@@ -1,5 +1,6 @@
 """Experiment configuration, Monte-Carlo runner, CSV output, and CLI."""
 
+import copy
 import csv
 import dataclasses
 import math
@@ -12,11 +13,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
-from rrfilt import harness
+from rrfilt import filters, harness
 from rrfilt.cdma import CdmaConfig
-from rrfilt.combiners import Diverged, SchemeB
+from rrfilt.combiners import Diverged, SchemeA, SchemeB
 from rrfilt.filters import JidfFilter
 from rrfilt.harness import (
     BranchParams,
@@ -133,6 +136,99 @@ combiners: {mu_c: 0.25}
         path.write_text("")
         with pytest.raises(ConfigError):
             load_config(path)
+
+    def test_malformed_yaml_rejected(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text("scheme: [jidf\n")
+        with pytest.raises(ConfigError, match="not valid YAML"):
+            load_config(path)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            config_from_dict({"scheme": "mmse", "seed": -3})
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            tiny_config("mmse", seed=-1).validate()
+
+    @pytest.mark.parametrize("value", [5, "abc", {"mu": 0.1}, True])
+    def test_branches_must_be_a_list(self, value):
+        with pytest.raises(ConfigError, match="branches must be a list"):
+            config_from_dict({"scheme": "fullrank", "branches": value})
+
+    @pytest.mark.parametrize("value", [0, "abc", [{"mu_a": 0.1}]])
+    def test_combiners_must_be_a_mapping(self, value):
+        with pytest.raises(ConfigError, match="combiners section must be a mapping"):
+            config_from_dict({"scheme": "mmse", "combiners": value})
+
+    def test_sizes_past_any_index_rejected(self):
+        # 1e300 is an exact integer, too large for any array index
+        for scheme, branch in (("fullrank", {"mu": 0.1}),
+                               ("jidf", {"mu": 0.1, "rank": 3, "interp_len": 2, "eta": 0.01})):
+            with pytest.raises(ConfigError, match=f"scheme '{scheme}'"):
+                config_from_dict(
+                    {"scheme": scheme, "branches": [branch], "cdma": {"chips": 1e300}}
+                )
+
+    def test_null_sections_take_the_defaults(self):
+        cfg = config_from_dict({"scheme": "mmse", "branches": None, "combiners": None})
+        assert cfg.branches == [] and cfg.combiners == harness.CombinerSteps()
+
+    def test_unknown_keys_of_mixed_types_are_listed(self):
+        with pytest.raises(ConfigError, match=r"unknown configuration keys: \[1, 'foo'\]"):
+            config_from_dict({"scheme": "mmse", "foo": 1, 1: 2})
+
+
+# a valid tiny config of each adaptive scheme, as a config file would hold it
+_FUZZ_BASE = {
+    "scheme": "scheme_b", "seed": 3, "n_symbols": 40, "n_runs": 2,
+    "train_mode": "semi", "train_symbols": 10, "n_branches": 2, "u_max": 4.0,
+    "out": "o.csv",
+    "cdma": {"users": 2, "chips": 8, "paths": 3, "snr_db": 12.0, "doppler": 1e-3,
+             "amplitudes": [1.0, 0.5], "path_profile_db": [0.0, -3.0, -9.0]},
+    "branches": [{"rank": 2, "interp_len": 2, "eta": 0.01, "mu": 0.1},
+                 {"rank": 5, "interp_len": 3, "eta": 0.005, "mu": 0.02}],
+    "combiners": {"mu_a": 0.25, "mu_b": 0.25, "mu_c": 0.25},
+}
+# values of every wrong (and some right) type; sizes stay small, so that a
+# value that loads builds only small filters
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 40),
+    st.floats(-100, 100),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300, 2.5, -4000.0]),
+    st.text(max_size=4), st.sampled_from(harness.SCHEMES),
+    st.lists(st.one_of(st.integers(-2, 9), st.floats(-2, 2), st.text(max_size=2)),
+             max_size=3),
+    st.dictionaries(st.one_of(st.text(max_size=3), st.integers(0, 3)),
+                    st.integers(-2, 9), max_size=2),
+)
+
+
+class TestConfigFuzz:
+    """A fuzzed config mapping either loads or raises :class:`ConfigError`:
+    never any other exception."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_loads_or_raises_config_error(self, data):
+        cfg = copy.deepcopy(_FUZZ_BASE)
+        # the path of a value to replace: a top-level key, or a key of the
+        # cdma or combiners section or of one branch, or a branch entry
+        where = data.draw(st.sampled_from(["top", "cdma", "combiners", "branch", "entry"]))
+        if where == "top":
+            owner, key = cfg, data.draw(st.sampled_from(sorted(harness._TOP_KEYS)))
+        elif where == "entry":
+            owner, key = cfg["branches"], data.draw(st.integers(0, 1))
+        else:
+            owner = cfg["branches"][data.draw(st.integers(0, 1))] if where == "branch" \
+                else cfg[where]
+            key = data.draw(st.sampled_from(sorted(owner)))
+        owner[key] = data.draw(_JUNK, label=f"{where}[{key!r}]")
+        if data.draw(st.integers(0, 4), label="extra key") == 0:
+            cfg[data.draw(st.one_of(st.text(max_size=3), st.integers()))] = 1
+        try:
+            loaded = config_from_dict(cfg)
+        except ConfigError:
+            return
+        loaded.validate()
 
 
 class TestComplexityReport:
@@ -283,6 +379,33 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="shape bug") as info:
             run_experiment(tiny_config(scheme))
         assert not isinstance(info.value, Diverged)
+
+    @pytest.mark.parametrize(
+        "scheme,mode,per_symbol", [("scheme_b", "semi", 2), ("scheme_a", "supervised", 4)]
+    )
+    def test_one_regressor_per_constituent_per_symbol(self, monkeypatch, scheme, mode,
+                                                      per_symbol):
+        # a decision-directed symbol builds each constituent's regressor once,
+        # for its prediction and its step alike, and the harness never calls
+        # the scheme's predict
+        built = []
+        original = filters.build_hankel
+
+        def counted(*args):
+            built.append(args[1:])
+            return original(*args)
+
+        def no_predict(self, r):
+            raise AssertionError("predict called")
+
+        monkeypatch.setattr(filters, "build_hankel", counted)
+        monkeypatch.setattr({"scheme_a": SchemeA, "scheme_b": SchemeB}[scheme],
+                            "predict", no_predict)
+        monkeypatch.setenv("RRFILT_THREADS", "1")
+        cfg = tiny_config(scheme, train_mode=mode, train_symbols=20)
+        rec = run_experiment(cfg)
+        assert rec.diverged_runs == 0
+        assert len(built) == per_symbol * cfg.n_symbols * cfg.n_runs
 
     def test_mmse_tracks_fading_well(self):
         cfg = tiny_config("mmse", n_symbols=300, n_runs=3)
@@ -623,6 +746,30 @@ class TestCliRejectsBadValues:
         cfg = self._edited(tmp_path, lambda c: None)
         assert main(["sweep", "--config", str(cfg), "--snr", f"10,{snr}"]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_noise_variance_past_float_range(self, tmp_path, capsys, command):
+        # 10**400 overflows a float: the config is refused before any run
+        edit = lambda c: c["cdma"].update(snr_db=-4000.0)  # noqa: E731
+        cfg = self._edited(tmp_path, edit if command == "run" else lambda c: None)
+        out = tmp_path / "o.csv"
+        args = [command, "--config", str(cfg), "--out", str(out)]
+        assert main(args + (["--snr", "10,-4000"] if command == "sweep" else [])) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cdma section: " if command == "run" else "error: SNR point")
+        assert "beyond the float range" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("how", ["key", "flag"])
+    def test_negative_seed_reported(self, tmp_path, capsys, command, how):
+        cfg = self._edited(tmp_path, lambda c: c.update(seed=-3) if how == "key" else None)
+        out = tmp_path / "o.csv"
+        args = [command, "--config", str(cfg), "--out", str(out)]
+        args += ["--seed", "-3"] if how == "flag" else []
+        assert main(args + (["--snr", "10"] if command == "sweep" else [])) == 1
+        assert capsys.readouterr().err.startswith("error: seed must be >= 0")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_more_users_than_signatures(self, tmp_path, capsys, command):
