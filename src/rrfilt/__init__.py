@@ -13,12 +13,12 @@ combiners
     filters: schemes A and B and the combined full-tap LMS baseline.
 cdma
     Downlink signal model: signatures, fading channel, received windows,
-    clairvoyant MMSE receiver, QPSK slicer.
+    clairvoyant MMSE receiver and its per-run oracle scheme, QPSK slicer.
 harness
     Seeded Monte-Carlo BER experiments, SNR sweeps, complexity reports,
     CSV output, and the ``rrfilt`` command line (also ``python -m rrfilt``).
 
-Every adaptive scheme, one filter or a tree of them, can ``step(r, d)``
+Every scheme, one filter, a tree of them or the MMSE oracle, can ``step(r, d)``
 (returning a ``StepResult``), ``predict(r)`` without adapting, and give its
 ``equivalent()`` window-length filter, with ``equivalent()^H r == predict(r)``.
 ``d`` may be a decision function such as ``detect_qpsk``, applied to the
@@ -28,6 +28,7 @@ pre-update output (decision-directed adaptation).
 from .cdma import (
     CdmaConfig,
     ClarkeChannel,
+    MmseOracle,
     MmseReceiver,
     build_convolution_matrix,
     detect_qpsk,
@@ -72,6 +73,7 @@ __all__ = [
     "ExperimentRecord",
     "FullRankLms",
     "JidfFilter",
+    "MmseOracle",
     "MmseReceiver",
     "SchemeA",
     "SchemeB",

@@ -28,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .filters import _NO_MIXING, StepResult, _window
+
 SQRT2 = float(np.sqrt(2.0))
 
 
@@ -390,3 +392,38 @@ class MmseReceiver:
                 stacklevel=2,
             )
             return np.linalg.pinv(cov) @ steering
+
+
+class MmseOracle:
+    """The clairvoyant MMSE receiver as a scheme: bound to one run's channel
+    gains (``(n_symbols, n_paths)``, one snapshot per symbol) and one noise
+    variance, it speaks the adaptive schemes' protocol
+    (:mod:`rrfilt.filters`) without adapting.
+
+    ``equivalent()`` is the MMSE filter of the current symbol's snapshot, so
+    ``equivalent()^H r == predict(r)``.  ``step(r, d)`` filters ``r`` with
+    it (one :meth:`MmseReceiver.filter_for` solve), applies ``d`` to the
+    output if it is a decision function, and moves on to the next symbol.
+    """
+
+    def __init__(self, receiver: MmseReceiver, gains, noise_var: float):
+        self.receiver = receiver
+        self.gains = np.asarray(gains, dtype=np.complex128)
+        self.noise_var = float(noise_var)
+        self.num_taps = receiver.cfg.window_len
+        self.symbol = 0  # row of ``gains`` that the next step filters with
+
+    def equivalent(self) -> np.ndarray:
+        """The current symbol's MMSE filter."""
+        return self.receiver.filter_for(self.gains[self.symbol], self.noise_var)
+
+    def predict(self, r) -> complex:
+        """Output of the current symbol's filter for ``r``; does not advance."""
+        return np.vdot(self.equivalent(), _window(r, self.num_taps)).item()
+
+    def step(self, r, d) -> StepResult:
+        y = self.predict(r)
+        if callable(d):
+            d = d(y)
+        self.symbol += 1
+        return StepResult(y, complex(d) - y, (y,), (), _NO_MIXING)

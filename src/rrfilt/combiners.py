@@ -54,14 +54,18 @@ class Combiner:
 
     ``u`` is clipped to ``[-u_max, u_max]`` after every update; without the
     clip the sigmoid saturates and the ``lam * (1 - lam)`` gradient factor
-    stalls the node permanently.
+    stalls the node permanently.  For the same reason ``u_max`` must keep
+    ``sigmoid(u_max) < 1``: just above 36.73 the sigmoid rounds to exactly 1.0.
     """
 
     def __init__(self, mu: float, u_max: float = 4.0, u0: float = 0.0):
         if not mu >= 0:
             raise ValueError("combiner step size mu must be non-negative")
-        if not u_max > 0:
-            raise ValueError("u_max must be positive")
+        if not (u_max > 0 and sigmoid(u_max) < 1.0):
+            raise ValueError(
+                f"u_max must be positive with sigmoid(u_max) < 1 (up to about 36.73), "
+                f"got {u_max}"
+            )
         self.mu = float(mu)
         self.u_max = float(u_max)
         self.u = float(np.clip(u0, -u_max, u_max))

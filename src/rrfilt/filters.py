@@ -28,7 +28,8 @@ decision-directed step builds one regressor, not two, and a mixing tree
 prepares each constituent once for both its prediction and its step.
 ``_step`` runs ``_forward`` (outputs, branch choice, gradients) then
 ``_commit`` (coefficient updates), the forward-pass/commit boundary the
-benchmark times.
+benchmark times.  Full-tap LMS has one output, so its ``_forward`` applies a
+decision function to that output and computes ``w^H x`` once.
 """
 
 from __future__ import annotations
@@ -129,14 +130,14 @@ class FullRankLms:
         return np.vdot(self.w, x).item()
 
     def _step(self, x, d) -> StepResult:
-        if callable(d):
-            d = d(self._predict(x))
         fwd = self._forward(x, d)
         self._commit(fwd)
         return StepResult(fwd.y, fwd.e, (fwd.y,), (), _NO_MIXING)
 
     def _forward(self, x, d) -> _LmsForward:
-        y = np.vdot(self.w, x).item()
+        y = self._predict(x)
+        if callable(d):
+            d = d(y)
         return _LmsForward(y, complex(d) - y, x)
 
     def _commit(self, fwd: _LmsForward) -> None:

@@ -19,8 +19,8 @@ index order.  Supported schemes:
 ``mmse``        clairvoyant MMSE filter recomputed every symbol
 ==============  ==============================================================
 
-Every adaptive scheme runs through the same ``step(r, d)`` call; the
-non-adaptive MMSE oracle is the only other path.
+Every scheme, the non-adaptive MMSE oracle included, is built by one
+builder and runs through the same ``step(r, d)`` call.
 
 Training is supervised by default (the desired response is the true symbol
 for the whole packet; errors are still counted on the slicer decisions).
@@ -56,13 +56,14 @@ import yaml
 from .cdma import (
     CdmaConfig,
     ClarkeChannel,
+    MmseOracle,
     MmseReceiver,
     detect_qpsk,
     generate_received,
     generate_signatures,
     qpsk_symbols,
 )
-from .combiners import Clms, Diverged, SchemeA, SchemeB
+from .combiners import Clms, Combiner, Diverged, SchemeA, SchemeB
 from .filters import FullRankLms, JidfFilter
 
 
@@ -136,14 +137,18 @@ class ExperimentConfig:
             raise ConfigError(f"unknown scheme {self.scheme!r}; pick one of {SCHEMES}")
         if self.n_symbols < 1 or self.n_runs < 1:
             raise ConfigError("n_symbols and n_runs must be >= 1")
+        if max(self.n_symbols, self.n_runs) > sys.maxsize:
+            raise ConfigError(f"n_symbols and n_runs must be <= {sys.maxsize}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.train_mode not in ("supervised", "semi"):
             raise ConfigError("train_mode must be 'supervised' or 'semi'")
         if self.train_mode == "semi" and self.train_symbols < 0:
             raise ConfigError("train_symbols must be >= 0")
-        if not (math.isfinite(self.u_max) and self.u_max > 0):
-            raise ConfigError("u_max must be positive and finite")
+        try:
+            Combiner(0.0, u_max=self.u_max)  # the one u_max rule, for every scheme
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         spec = _SCHEMES[self.scheme]
         if len(self.branches) != spec.constituents:
             raise ConfigError(
@@ -383,9 +388,13 @@ def _record_complexity(cfg: ExperimentConfig) -> tuple[int, int] | None:
 # ---------------------------------------------------------------------------
 
 
-def _build_scheme(cfg: ExperimentConfig):
-    """The configured adaptive scheme: one filter, or a mixing tree whose
-    nodes take the step sizes of their slots (``mu_a``, ``mu_b``, ``mu_c``)."""
+def _build_scheme(cfg: ExperimentConfig, signatures=None, gains=None, noise_var=None):
+    """A fresh instance of the configured scheme: one filter, a mixing tree
+    whose nodes take the step sizes of their slots (``mu_a``, ``mu_b``,
+    ``mu_c``), or the MMSE oracle bound to one run's signatures and channel
+    gains and one noise variance (only the oracle reads those three)."""
+    if cfg.scheme == "mmse":
+        return MmseOracle(MmseReceiver(cfg.cdma, signatures), gains, noise_var)
     m = cfg.cdma.window_len
     spec = _SCHEMES[cfg.scheme]
     if spec.reduced_rank:
@@ -432,18 +441,16 @@ def _single_run(
     symbols = qpsk_symbols(rng, cdma.n_users, cfg.n_symbols)
     gains = channel.run(cfg.n_symbols)
     received = generate_received(cdma, signatures, gains, symbols, rng, noise_vars)
-    mmse = MmseReceiver(cdma, signatures) if cfg.scheme == "mmse" else None
     return [
-        _run_point(cfg, symbols[0], gains, block, noise_var, mmse)
+        _run_point(cfg, symbols[0], block, _build_scheme(cfg, signatures, gains, noise_var))
         for block, noise_var in zip(received, noise_vars)
     ]
 
 
-def _run_point(cfg, desired_user, gains, received, noise_var, mmse) -> _RunResult:
-    """One run's symbol loop at one noise variance."""
+def _run_point(cfg, desired_user, received, scheme) -> _RunResult:
+    """One run's symbol loop at one noise variance, through ``scheme``."""
     n = cfg.n_symbols
     supervised_until = n if cfg.train_mode == "supervised" else cfg.train_symbols
-    scheme = None if mmse is not None else _build_scheme(cfg)
     # per-symbol bookkeeping in lists, made arrays once per run
     errors, sq_err, lambdas, b_opt, picks = [], [], [], [], []
     diverged = False
@@ -452,36 +459,31 @@ def _run_point(cfg, desired_user, gains, received, noise_var, mmse) -> _RunResul
     # is expected for aggressive step sizes and the run is simply excluded
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n):
-            r = received[i]
             try:
-                if mmse is not None:
-                    w = mmse.filter_for(gains[i], noise_var)
-                    y = complex(np.vdot(w, r))
-                    d = desired_user[i] if i < supervised_until else detect_qpsk(y)
-                    e = d - y
-                else:
-                    # past training, the scheme decides on its own output
-                    res = scheme.step(r, desired_user[i] if i < supervised_until else detect_qpsk)
-                    y, e = res.y, res.e
-                    lambdas.append(res.lambdas)
-                    if res.branches:
-                        b_opt.append(res.branches[0])
-                        picks.extend(res.branches)
+                # past training, the scheme decides on its own output
+                res = scheme.step(
+                    received[i], desired_user[i] if i < supervised_until else detect_qpsk
+                )
             except Diverged:
                 # the combiner's finiteness guard trips on diverged constituents
                 diverged = True
                 break
-            err_sq = float(np.abs(np.complex128(e)) ** 2)
+            y = res.y
+            err_sq = float(np.abs(np.complex128(res.e)) ** 2)
             if not (cmath.isfinite(y) and math.isfinite(err_sq)):
                 diverged = True
                 break
             errors.append(detect_qpsk(y) != desired_user[i])
             sq_err.append(err_sq)
+            lambdas.append(res.lambdas)
+            if res.branches:
+                b_opt.append(res.branches[0])
+                picks.extend(res.branches)
 
     return _RunResult(
         errors=np.array(errors, dtype=np.uint8),
         sq_err=np.array(sq_err, dtype=np.float64),
-        lambdas=np.array(lambdas) if lambdas else np.full((len(errors), 3), np.nan),
+        lambdas=np.array(lambdas),
         b_opt=np.array(b_opt, dtype=np.int64),
         branch_hist=np.bincount(
             np.array(picks, dtype=np.int64), minlength=max(cfg.n_branches, 1)

@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
-from rrfilt.cdma import detect_qpsk
+from rrfilt.cdma import (
+    CdmaConfig,
+    ClarkeChannel,
+    MmseOracle,
+    MmseReceiver,
+    detect_qpsk,
+    generate_signatures,
+)
 from rrfilt.combiners import Clms, Combiner, SchemeA, SchemeB, sigmoid
 from rrfilt.filters import FullRankLms, JidfFilter
 
@@ -31,6 +38,18 @@ def step_with_equivalent(scheme, r, d):
 
 def _jidf(m, rank, interp, eta, mu, n_branches=2):
     return JidfFilter(m, interp, rank, n_branches, eta=eta, mu=mu)
+
+
+def _largest_u_max() -> float:
+    """The largest float ``u`` with ``sigmoid(u) < 1``, by bisection."""
+    lo, hi = 1.0, 64.0
+    while np.nextafter(lo, hi) < hi:
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if sigmoid(mid) < 1.0 else (lo, mid)
+    return lo
+
+
+U_MAX_LIMIT = _largest_u_max()
 
 
 def _randomize(f, rng):
@@ -79,6 +98,15 @@ class TestCombiner:
                      complex(*rng.standard_normal(2)), c.mixing)
             assert -4.0 <= c.u <= 4.0
             assert 0.0 < c.mixing < 1.0
+
+    def test_u_max_must_keep_the_sigmoid_below_one(self):
+        # past the limit sigmoid(u_max) is exactly 1.0, where lam * (1 - lam)
+        # is 0 and a saturated node never moves again
+        assert sigmoid(U_MAX_LIMIT) < 1.0
+        Combiner(1e6, u_max=U_MAX_LIMIT)
+        for u_max in (np.nextafter(U_MAX_LIMIT, np.inf), 100.0, np.inf, np.nan, 0.0):
+            with pytest.raises(ValueError, match="u_max must be positive"):
+                Combiner(1e6, u_max=u_max)
 
     def test_rejects_non_finite(self):
         c = Combiner(mu=0.5)
@@ -388,7 +416,7 @@ class TestConstituentSteps:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         filters = _draw_constituents(data, rng, kind, m)
         solos = copy.deepcopy(filters)
-        u_max = data.draw(st.floats(0.5, 8.0), label="u_max")
+        u_max = data.draw(st.floats(0.5, U_MAX_LIMIT), label="u_max")
         mus = [float(rng.uniform(0, 2)) for _ in tree]
         if kind == "clms":
             scheme = Clms(filters, *mus, u_max=u_max)
@@ -429,14 +457,28 @@ class TestConstituentSteps:
             assert repr(diag.y) == repr(ys[-1])
             assert repr(diag.e) == repr(d - ys[-1])
             assert repr(diag.lambdas) == repr(tuple(lambdas))
+            assert all(0.0 < c.mixing < 1.0 for c in nodes)
+
+
+def _draw_oracle(data, rng) -> MmseOracle:
+    """An MMSE oracle over a small drawn downlink, bound to a few fading
+    channel snapshots and a noise variance."""
+    n_chips = data.draw(st.integers(1, 8), label="n_chips")
+    n_users = data.draw(st.integers(1, min(3, 2**n_chips)), label="n_users")
+    n_paths = data.draw(st.integers(1, 4), label="n_paths")
+    cfg = CdmaConfig(n_users=n_users, n_chips=n_chips, n_paths=n_paths)
+    receiver = MmseReceiver(cfg, generate_signatures(n_users, n_chips, rng))
+    gains = ClarkeChannel(n_paths, 0.01, rng).run(4)
+    return MmseOracle(receiver, gains, float(rng.uniform(0.1, 2.0)))
 
 
 def _state(scheme) -> tuple:
-    """Every adapted quantity of a filter or tree, as exact bytes and reprs."""
+    """Every adapted quantity of a scheme, as exact bytes and reprs."""
     filters = getattr(scheme, "filters", [scheme])
     leaves = tuple(
         (f.w.tobytes(),) if isinstance(f, FullRankLms)
-        else (f.v.tobytes(), f.w_bar.tobytes(), f.last_b_opt)
+        else (f.v.tobytes(), f.w_bar.tobytes(), f.last_b_opt) if isinstance(f, JidfFilter)
+        else (f.symbol,)  # the MMSE oracle's position in its run
         for f in filters
     )
     return leaves, tuple(repr(c.u) for c in getattr(scheme, "combiners", []))
@@ -444,30 +486,34 @@ def _state(scheme) -> tuple:
 
 class TestDecisionDirectedStep:
     """``step(r, decide)`` must be ``step(r, decide(predict(r)))`` bit for bit
-    for every adaptive scheme: the decision is taken on the pre-update
-    prediction (a tree's mix of its constituents' predictions), once, and
-    every constituent adapts toward it."""
+    for every scheme, the MMSE oracle included: the decision is taken on the
+    pre-update prediction (a tree's mix of its constituents' predictions),
+    once, and every constituent adapts toward it.  The prediction must also
+    be ``equivalent()^H r``, to 1e-10 relative."""
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_decision_function_equals_sliced_prediction(self, data):
         kind = data.draw(
-            st.sampled_from(["fullrank", "jidf", *sorted(_TREES)]), label="scheme"
+            st.sampled_from(["fullrank", "jidf", "mmse", *sorted(_TREES)]), label="scheme"
         )
-        m = data.draw(st.integers(1, 12), label="num_taps")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        filters = _draw_constituents(data, rng, kind, m)
-        mus = [float(rng.uniform(0, 2)) for _ in _TREES.get(kind, ())]
-        scheme = {
-            "fullrank": lambda: filters[0], "jidf": lambda: filters[0],
-            "clms": lambda: Clms(filters, *mus),
-            "scheme_b": lambda: SchemeB(filters, *mus),
-            "scheme_a": lambda: SchemeA(filters, *mus),
-        }[kind]()
+        if kind == "mmse":
+            scheme = _draw_oracle(data, rng)
+        else:
+            m = data.draw(st.integers(1, 12), label="num_taps")
+            filters = _draw_constituents(data, rng, kind, m)
+            mus = [float(rng.uniform(0, 2)) for _ in _TREES.get(kind, ())]
+            scheme = {
+                "fullrank": lambda: filters[0], "jidf": lambda: filters[0],
+                "clms": lambda: Clms(filters, *mus),
+                "scheme_b": lambda: SchemeB(filters, *mus),
+                "scheme_a": lambda: SchemeA(filters, *mus),
+            }[kind]()
         for c in getattr(scheme, "combiners", []):
             c.u = float(rng.uniform(-c.u_max, c.u_max))
         for _ in range(3):
-            r = _random_complex(rng, m)
+            r = _random_complex(rng, scheme.num_taps)
             by_function, by_symbol = copy.deepcopy(scheme), copy.deepcopy(scheme)
             seen = []
 
@@ -477,6 +523,8 @@ class TestDecisionDirectedStep:
 
             got = by_function.step(r, decide)
             prediction = by_symbol.predict(r)
+            y_eq = np.vdot(by_symbol.equivalent(), r)
+            assert abs(y_eq - prediction) <= 1e-10 * (1 + abs(prediction))
             want = by_symbol.step(r, detect_qpsk(prediction))
             assert [repr(y) for y in seen] == [repr(prediction)]
             for name in ("y", "e", "outputs", "branches", "lambdas"):

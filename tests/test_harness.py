@@ -167,6 +167,17 @@ combiners: {mu_c: 0.25}
                 config_from_dict(
                     {"scheme": scheme, "branches": [branch], "cdma": {"chips": 1e300}}
                 )
+        # run and symbol counts are checked before any run starts
+        for key in ("n_runs", "n_symbols"):
+            for value in (1e300, sys.maxsize + 1):
+                with pytest.raises(ConfigError, match="n_symbols and n_runs must be <="):
+                    config_from_dict({"scheme": "mmse", key: value})
+
+    @pytest.mark.parametrize("u_max", [36.74, 100.0, math.inf, math.nan, 0.0])
+    def test_u_max_must_keep_the_sigmoid_below_one(self, u_max):
+        for scheme in harness.SCHEMES:
+            with pytest.raises(ConfigError, match="u_max must be positive"):
+                tiny_config(scheme, u_max=u_max).validate()
 
     def test_null_sections_take_the_defaults(self):
         cfg = config_from_dict({"scheme": "mmse", "branches": None, "combiners": None})
