@@ -16,7 +16,7 @@ independent re-implementation reproduces the samples bit for bit.
 
 Path gains evolve by a sum-of-sinusoids generator with the classic
 isotropic-scattering statistics (Rayleigh envelope, Bessel autocorrelation):
-per path, ``n_oscillators`` equally spaced arrival angles over a half circle
+per path, ``N_OSCILLATORS`` equally spaced arrival angles over a half circle
 with a random rotation, a random phase per oscillator.
 """
 
@@ -28,9 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filters import _NO_MIXING, StepResult, _window
+from .filters import _NO_MIXING, StepResult
+from .signalcore import _window
 
 SQRT2 = float(np.sqrt(2.0))
+N_OSCILLATORS = 16  # sinusoids per fading path
 
 
 @dataclass
@@ -42,9 +44,7 @@ class CdmaConfig:
     spectral density: with unit-norm signatures and unit total channel power
     the bit energy is ``amplitudes[0]**2``, so the per-sample complex noise
     variance is ``amplitudes[0]**2 * 10**(-snr_db / 10)``.  ``doppler`` is
-    the normalized Doppler rate (cycles per symbol).  ``seed`` is only a
-    convenience default for standalone use; the experiment harness manages
-    its own per-run generators.
+    the normalized Doppler rate (cycles per symbol).
     """
 
     n_users: int = 8
@@ -54,7 +54,6 @@ class CdmaConfig:
     doppler: float = 1e-4
     amplitudes: tuple[float, ...] | None = None
     path_profile_db: tuple[float, ...] = (0.0, -3.0, -9.0)
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_users < 1 or self.n_chips < 1 or self.n_paths < 1:
@@ -162,7 +161,7 @@ class ClarkeChannel:
     Three (or ``len(profile_db)``) active paths are placed at chip delays
     ``0, g1, g1 + g2`` with the gaps drawn uniformly from ``{0, 1, 2}``
     (clipped into the tap range; coinciding paths add).  Each path's complex
-    gain is a sum of ``n_oscillators`` random-phase sinusoids whose Doppler
+    gain is a sum of ``N_OSCILLATORS`` random-phase sinusoids whose Doppler
     shifts come from equally spaced arrival angles over a half circle with a
     random rotation, giving the expected power profile exactly and the
     classic Bessel-shaped autocorrelation at rate ``doppler`` cycles/symbol.
@@ -175,17 +174,13 @@ class ClarkeChannel:
         doppler: float,
         rng: np.random.Generator,
         profile_db: tuple[float, ...] = (0.0, -3.0, -9.0),
-        n_oscillators: int = 16,
     ):
         if n_paths < 1:
             raise ValueError("n_paths must be >= 1")
         if doppler < 0:
             raise ValueError("doppler must be non-negative")
-        if n_oscillators < 1:
-            raise ValueError("n_oscillators must be >= 1")
         self.n_paths = int(n_paths)
         self.doppler = float(doppler)
-        self.n_oscillators = int(n_oscillators)
         powers = 10.0 ** (np.asarray(profile_db, dtype=np.float64) / 10.0)
         self.path_powers = powers / powers.sum()
         n_active = self.path_powers.size
@@ -195,14 +190,12 @@ class ClarkeChannel:
         self.positions = np.minimum(positions, self.n_paths - 1)
 
         # one random angle-bank rotation and phase set per path, per run
-        self._omegas = np.empty((n_active, self.n_oscillators))
-        self._phases = np.empty((n_active, self.n_oscillators))
+        self._omegas = np.empty((n_active, N_OSCILLATORS))
+        self._phases = np.empty((n_active, N_OSCILLATORS))
         for p in range(n_active):
-            angles = (np.arange(self.n_oscillators) + rng.random()) * (
-                np.pi / self.n_oscillators
-            )
+            angles = (np.arange(N_OSCILLATORS) + rng.random()) * (np.pi / N_OSCILLATORS)
             self._omegas[p] = 2.0 * np.pi * self.doppler * np.cos(angles)
-            self._phases[p] = rng.uniform(0.0, 2.0 * np.pi, self.n_oscillators)
+            self._phases[p] = rng.uniform(0.0, 2.0 * np.pi, N_OSCILLATORS)
         self._t = 0
 
     def path_gain_series(self, path: int, n_symbols: int) -> np.ndarray:
@@ -210,7 +203,7 @@ class ClarkeChannel:
         (does not advance the channel clock)."""
         t = np.arange(self._t, self._t + n_symbols, dtype=np.float64)
         osc = np.exp(1j * (np.outer(t, self._omegas[path]) + self._phases[path]))
-        scale = np.sqrt(self.path_powers[path] / self.n_oscillators)
+        scale = np.sqrt(self.path_powers[path] / N_OSCILLATORS)
         return scale * osc.sum(axis=1)
 
     def run(self, n_symbols: int) -> np.ndarray:

@@ -52,13 +52,14 @@ def sigmoid(u: float) -> float:
 class Combiner:
     """One mixing node: auxiliary variable, step size, and clipping bound.
 
-    ``u`` is clipped to ``[-u_max, u_max]`` after every update; without the
-    clip the sigmoid saturates and the ``lam * (1 - lam)`` gradient factor
-    stalls the node permanently.  For the same reason ``u_max`` must keep
-    ``sigmoid(u_max) < 1``: just above 36.73 the sigmoid rounds to exactly 1.0.
+    ``u`` starts at 0, an even mix, and is clipped to ``[-u_max, u_max]``
+    after every update; without the clip the sigmoid saturates and the
+    ``lam * (1 - lam)`` gradient factor stalls the node permanently.  For the
+    same reason ``u_max`` must keep ``sigmoid(u_max) < 1``: just above 36.73
+    the sigmoid rounds to exactly 1.0.
     """
 
-    def __init__(self, mu: float, u_max: float = 4.0, u0: float = 0.0):
+    def __init__(self, mu: float, u_max: float = 4.0):
         if not mu >= 0:
             raise ValueError("combiner step size mu must be non-negative")
         if not (u_max > 0 and sigmoid(u_max) < 1.0):
@@ -68,7 +69,7 @@ class Combiner:
             )
         self.mu = float(mu)
         self.u_max = float(u_max)
-        self.u = float(np.clip(u0, -u_max, u_max))
+        self.u = 0.0
 
     @property
     def mixing(self) -> float:
@@ -96,7 +97,8 @@ class MixTree:
     Subclasses fix ``NODES``: one ``(record slot, left, right)`` entry per
     node, children before parents, the root last.  The record slot (0, 1, 2
     for nodes a, b, c) places the node's mixing value in
-    :attr:`StepResult.lambdas`.
+    :attr:`StepResult.lambdas`.  ``combiners[k]`` is the :class:`Combiner`
+    of entry ``k``: scheme A's nodes a, b, c are ``combiners[0..2]``.
     """
 
     NODES: tuple[tuple[int, int, int], ...] = ()
@@ -177,7 +179,6 @@ class SchemeA(MixTree):
     def __init__(self, filters: Sequence[JidfFilter], mu_a: float, mu_b: float,
                  mu_c: float, u_max: float = 4.0):
         super().__init__(filters, (mu_a, mu_b, mu_c), u_max)
-        self.combiner_a, self.combiner_b, self.combiner_c = self.combiners
 
 
 class SchemeB(MixTree):
@@ -189,7 +190,6 @@ class SchemeB(MixTree):
 
     def __init__(self, filters: Sequence[JidfFilter], mu_c: float, u_max: float = 4.0):
         super().__init__(filters, (mu_c,), u_max)
-        (self.combiner,) = self.combiners
 
 
 class Clms(MixTree):
@@ -202,4 +202,3 @@ class Clms(MixTree):
 
     def __init__(self, filters: Sequence[FullRankLms], mu_a: float, u_max: float = 4.0):
         super().__init__(filters, (mu_a,), u_max)
-        (self.combiner,) = self.combiners

@@ -39,18 +39,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signalcore import build_hankel, generate_decimation_patterns
+from .signalcore import _window, build_hankel, generate_decimation_patterns
 
 
 _NO_MIXING = (math.nan, math.nan, math.nan)
-
-
-def _window(r, num_taps: int) -> np.ndarray:
-    """``r`` as a complex vector, checked to hold exactly ``num_taps`` samples."""
-    r = np.asarray(r, dtype=np.complex128)
-    if r.shape != (num_taps,):
-        raise ValueError(f"expected a length-{num_taps} input vector")
-    return r
 
 
 @dataclass
@@ -200,12 +192,10 @@ class JidfFilter:
         self.last_b_opt = 0
 
     def regressor(self, r) -> np.ndarray:
-        """Hankel regressor of the window ``r`` at this filter's sizes.
-
-        The window is checked here, once; ``build_hankel`` then takes its
-        fast path for an exact-length complex window.
-        """
-        return build_hankel(_window(r, self.num_taps), self.num_taps, self.interp_len)
+        """Hankel regressor of the window ``r`` at this filter's sizes
+        (``build_hankel`` checks that ``r`` holds exactly ``num_taps``
+        samples)."""
+        return build_hankel(r, self.num_taps, self.interp_len)
 
     def predict(self, r) -> complex:
         """Output for ``r`` using the last selected branch, no adaptation."""

@@ -145,6 +145,15 @@ class ExperimentConfig:
             raise ConfigError("train_mode must be 'supervised' or 'semi'")
         if self.train_mode == "semi" and self.train_symbols < 0:
             raise ConfigError("train_symbols must be >= 0")
+        # one n_branches rule for every scheme: a reduced-rank bank's patterns
+        # start at distinct offsets inside the window, and every run keeps a
+        # histogram of n_branches entries
+        window_len = self.cdma.window_len
+        if not 1 <= self.n_branches <= window_len:
+            raise ConfigError(
+                f"n_branches must satisfy 1 <= n_branches <= window length "
+                f"{window_len}, got {self.n_branches}"
+            )
         try:
             Combiner(0.0, u_max=self.u_max)  # the one u_max rule, for every scheme
         except ValueError as exc:
@@ -312,10 +321,13 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse a YAML experiment configuration; fails fast on unknown keys."""
+    """Parse a UTF-8 YAML experiment configuration; fails fast on unknown
+    keys."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = yaml.safe_load(handle)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not valid UTF-8: {exc}") from None
         except yaml.YAMLError as exc:
             raise ConfigError(f"{path}: not valid YAML: {exc}") from None
     if data is None:
@@ -486,7 +498,7 @@ def _run_point(cfg, desired_user, received, scheme) -> _RunResult:
         lambdas=np.array(lambdas),
         b_opt=np.array(b_opt, dtype=np.int64),
         branch_hist=np.bincount(
-            np.array(picks, dtype=np.int64), minlength=max(cfg.n_branches, 1)
+            np.array(picks, dtype=np.int64), minlength=cfg.n_branches
         ),
         diverged=diverged,
     )
@@ -575,7 +587,7 @@ def _reduce(cfg: ExperimentConfig, runs: list[_RunResult]) -> ExperimentRecord:
         cumulative = np.full(n, np.nan)
         mse = np.full(n, np.nan)
         lam = np.full((n, 3), np.nan)
-        hist = np.zeros(max(cfg.n_branches, 1), dtype=np.int64)
+        hist = np.zeros(cfg.n_branches, dtype=np.int64)
         per_run = np.full(cfg.n_runs, np.nan)
         mode = None
 

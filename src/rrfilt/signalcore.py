@@ -5,7 +5,7 @@ Everything in this module is a pure function of its inputs and operates on
 plain numpy arrays (complex128 semantics throughout).  Conventions shared by
 the whole package:
 
-* an observation window holds ``num_taps`` samples, indexed from 0,
+* an observation window holds exactly ``num_taps`` samples, indexed from 0,
 * window regressor matrices are Hankel (constant anti-diagonals); sample
   indices past the end of the window read as zero, so the Hankel regressor
   times a conjugated interpolator is the window's sliding correlation with
@@ -23,16 +23,14 @@ from numpy.typing import NDArray
 
 
 def build_hankel(samples, num_taps: int, interp_len: int) -> NDArray[np.complex128]:
-    """Arrange window samples into the (num_taps, interp_len) Hankel regressor.
+    """Arrange a window into its (num_taps, interp_len) Hankel regressor.
 
-    Row ``m``, column ``k`` holds ``samples[m + k]``; positions beyond the
-    supplied samples read as zero.  ``samples`` must provide at least the
-    ``num_taps`` window samples and may supply up to ``interp_len - 1``
-    trailing samples to fill the lower-right corner.
+    Row ``m``, column ``k`` holds ``samples[m + k]``; positions past the end
+    of the window read as zero.
 
     Parameters
     ----------
-    samples : array_like of complex, length >= num_taps
+    samples : array_like of complex, exactly ``num_taps`` samples
     num_taps : int
         Number of rows (window length).
     interp_len : int
@@ -46,19 +44,17 @@ def build_hankel(samples, num_taps: int, interp_len: int) -> NDArray[np.complex1
         raise ValueError("num_taps must be >= 1")
     if interp_len < 1:
         raise ValueError("interp_len must be >= 1")
-    s = np.asarray(samples, dtype=np.complex128)
-    needed = num_taps + interp_len - 1
-    # a bare window (what the filters pass, already checked) needs no
-    # further check or trim
-    if s.shape != (num_taps,):
-        if s.ndim != 1:
-            raise ValueError("samples must be one-dimensional")
-        if s.size < num_taps:
-            raise ValueError(f"need at least {num_taps} samples, got {s.size}")
-        s = s[:needed]
-    buf = np.zeros(needed, dtype=np.complex128)
-    buf[: s.size] = s
+    buf = np.zeros(num_taps + interp_len - 1, dtype=np.complex128)
+    buf[:num_taps] = _window(samples, num_taps)
     return buf[_hankel_index(num_taps, interp_len)]
+
+
+def _window(r, num_taps: int) -> NDArray[np.complex128]:
+    """``r`` as a complex vector, checked to hold exactly ``num_taps`` samples."""
+    r = np.asarray(r, dtype=np.complex128)
+    if r.shape != (num_taps,):
+        raise ValueError(f"expected a length-{num_taps} input vector")
+    return r
 
 
 @lru_cache(maxsize=64)

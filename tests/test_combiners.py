@@ -80,7 +80,8 @@ class TestCombiner:
         assert c.u == 0.0
 
     def test_zero_error_leaves_u_unchanged(self):
-        c = Combiner(mu=0.5, u0=1.0)
+        c = Combiner(mu=0.5)
+        c.u = 1.0
         c.update(1.0, -1.0, 0.0, c.mixing)
         assert c.u == 1.0
 
@@ -177,11 +178,12 @@ class TestSchemeB:
     def test_endpoint_mixing(self):
         rng = np.random.default_rng(5)
         scheme = self._make(rng)
-        scheme.combiner.u = scheme.combiner.u_max
+        (node,) = scheme.combiners
+        node.u = node.u_max
         r = _random_complex(rng, 8)
         diag = scheme.step(r, 0.5)
         y = diag.y
-        slack = (1 - sigmoid(scheme.combiner.u_max)) * (
+        slack = (1 - sigmoid(node.u_max)) * (
             abs(diag.outputs[0]) + abs(diag.outputs[1])
         )
         assert abs(y - diag.outputs[0]) <= slack + 1e-12
@@ -202,7 +204,7 @@ class TestSchemeB:
         assert_array_equal(f1.w_bar, solo1.w_bar)
         assert_array_equal(f2.v, solo2.v)
         assert_array_equal(f2.w_bar, solo2.w_bar)
-        assert scheme.combiner.u == 0.0
+        assert scheme.combiners[0].u == 0.0
 
     def test_requires_two_filters_of_one_size(self):
         with pytest.raises(ValueError):
@@ -237,8 +239,9 @@ class TestSchemeA:
     def test_endpoint_selects_first_constituent(self):
         rng = np.random.default_rng(8)
         scheme = self._make(rng)
-        scheme.combiner_a.u = scheme.combiner_a.u_max
-        scheme.combiner_c.u = scheme.combiner_c.u_max
+        node_a, _, node_c = scheme.combiners
+        node_a.u = node_a.u_max
+        node_c.u = node_c.u_max
         r = _random_complex(rng, 8)
         diag = scheme.step(r, 0.2)
         y = diag.y
@@ -291,7 +294,7 @@ class TestClms:
         diag = scheme.step(r, 1.0)
         y = diag.y
         assert y == pytest.approx(diag.outputs[0], rel=1e-12)
-        assert scheme.combiner.u == 0.0  # zero gradient at y1 == y2
+        assert scheme.combiners[0].u == 0.0  # zero gradient at y1 == y2
 
     def test_endpoint_mixing(self):
         rng = np.random.default_rng(12)
@@ -299,7 +302,8 @@ class TestClms:
         f1.w = _random_complex(rng, 6)
         f2.w = _random_complex(rng, 6)
         scheme = Clms([f1, f2], mu_a=0.25)
-        scheme.combiner.u = scheme.combiner.u_max
+        (node,) = scheme.combiners
+        node.u = node.u_max
         r = _random_complex(rng, 6)
         diag = scheme.step(r, 0.0)
         y = diag.y
@@ -418,15 +422,10 @@ class TestConstituentSteps:
         solos = copy.deepcopy(filters)
         u_max = data.draw(st.floats(0.5, U_MAX_LIMIT), label="u_max")
         mus = [float(rng.uniform(0, 2)) for _ in tree]
-        if kind == "clms":
-            scheme = Clms(filters, *mus, u_max=u_max)
-            nodes = [scheme.combiner]
-        elif kind == "scheme_b":
-            scheme = SchemeB(filters, *mus, u_max=u_max)
-            nodes = [scheme.combiner]
-        else:
-            scheme = SchemeA(filters, *mus, u_max=u_max)
-            nodes = [scheme.combiner_a, scheme.combiner_b, scheme.combiner_c]
+        scheme = {"clms": Clms, "scheme_b": SchemeB, "scheme_a": SchemeA}[kind](
+            filters, *mus, u_max=u_max
+        )
+        nodes = scheme.combiners
         for c in nodes:
             c.u = float(rng.uniform(-u_max, u_max))
         for _ in range(3):

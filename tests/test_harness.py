@@ -137,11 +137,16 @@ combiners: {mu_c: 0.25}
         with pytest.raises(ConfigError):
             load_config(path)
 
-    def test_malformed_yaml_rejected(self, tmp_path):
+    @pytest.mark.parametrize("content,problem", [
+        (b"scheme: [jidf\n", "not valid YAML"),
+        (b"# caf\xff\nscheme: jidf\n", "not valid UTF-8"),
+    ], ids=["yaml", "utf8"])
+    def test_malformed_yaml_rejected(self, tmp_path, content, problem):
         path = tmp_path / "bad.yaml"
-        path.write_text("scheme: [jidf\n")
-        with pytest.raises(ConfigError, match="not valid YAML"):
+        path.write_bytes(content)
+        with pytest.raises(ConfigError, match=problem) as info:
             load_config(path)
+        assert str(info.value).startswith(f"{path}: ")
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match="seed must be >= 0"):
@@ -172,6 +177,16 @@ combiners: {mu_c: 0.25}
             for value in (1e300, sys.maxsize + 1):
                 with pytest.raises(ConfigError, match="n_symbols and n_runs must be <="):
                     config_from_dict({"scheme": "mmse", key: value})
+        # so is the branch count, for every scheme, not only where a
+        # reduced-rank filter bank is built
+        for scheme, branches in (("fullrank", [{"mu": 0.1}]),
+                                 ("clms", [{"mu": 0.1}, {"mu": 0.2}]),
+                                 ("mmse", [])):
+            for value in (1e300, sys.maxsize + 1, 0):
+                with pytest.raises(ConfigError, match="n_branches must satisfy"):
+                    config_from_dict(
+                        {"scheme": scheme, "branches": branches, "n_branches": value}
+                    )
 
     @pytest.mark.parametrize("u_max", [36.74, 100.0, math.inf, math.nan, 0.0])
     def test_u_max_must_keep_the_sigmoid_below_one(self, u_max):
