@@ -360,8 +360,8 @@ class TestValidation:
 
     @pytest.mark.parametrize("shape", [(5,), (7,), (6, 1), (1, 6), ()])
     def test_window_must_have_exactly_num_taps_samples(self, shape):
-        # the one window check, in build_hankel for a JIDF filter, names
-        # the expected length
+        # every entry point refuses a wrongly shaped window with one message;
+        # for a JIDF filter the check is build_hankel's
         r = np.ones(shape, dtype=complex)
         for f in (JidfFilter(6, 2, 3, 2, eta=0.01, mu=0.05), FullRankLms(6, mu=0.1)):
             calls = [lambda: f.predict(r), lambda: f.step(r, 1.0)]
