@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filters import _NO_MIXING, StepResult
+from .filters import StepResult
 from .signalcore import _window
 
 SQRT2 = float(np.sqrt(2.0))
@@ -113,11 +113,12 @@ def generate_signatures(n_users: int, n_chips: int, rng: np.random.Generator) ->
     """
     if n_users < 1 or n_chips < 1:
         raise ValueError("n_users and n_chips must be >= 1")
-    if n_users > 2**n_chips:
+    # n_users > 2**n_chips, without building a huge power of two
+    if (int(n_users) - 1).bit_length() > n_chips:
         raise ValueError(
             f"cannot draw {n_users} distinct length-{n_chips} binary sequences"
         )
-    scale = 1.0 / np.sqrt(n_chips)
+    scale = 1.0 / math.sqrt(n_chips)  # math: n_chips may exceed the int64 range
     seen: set[bytes] = set()
     rows = []
     while len(rows) < n_users:
@@ -251,9 +252,10 @@ def generate_received(
     path_gains: np.ndarray,
     symbols: np.ndarray,
     rng: np.random.Generator,
-    noise_var: float | tuple[float, ...] | None = None,
+    noise_vars: tuple[float, ...],
 ) -> np.ndarray:
-    """Received observation windows for a block of symbols.
+    """Received observation windows for a block of symbols, at each of the
+    noise variances ``noise_vars``.
 
     Builds the superposed transmit chip stream (ascending user order), runs
     it through the per-symbol channel taps by windowed chip-rate convolution
@@ -262,16 +264,16 @@ def generate_received(
     bit), and adds noise.  ``path_gains`` has shape ``(n_symbols, n_paths)``
     and ``symbols`` ``(n_users, n_symbols)``.
 
-    Noise variates are always drawn -- two ``standard_normal`` blocks of
-    shape ``(n_symbols, window_len)``, real then imaginary -- even at zero
-    variance, so a seeded generator yields the same stream at any SNR.
+    Noise variates are drawn once -- two ``standard_normal`` blocks of shape
+    ``(n_symbols, window_len)``, real then imaginary -- whatever the
+    variances, even zero, so a seeded generator yields the same stream at
+    any SNR.
 
-    Returns ``(n_symbols, window_len)`` complex samples, each
-    ``signal + sqrt(noise_var / 2) * noise`` per plane.  A tuple of noise
-    variances returns one such block per variance, stacked on a new first
-    axis, all from the one signal and the one noise draw: each block is
-    bit for bit what a separate call at that variance would return from
-    the same generator state.
+    Returns ``(len(noise_vars), n_symbols, window_len)`` complex samples:
+    block ``k`` is ``signal + sqrt(noise_vars[k] / 2) * noise`` per plane,
+    every block from the one signal and the one noise draw, so each is bit
+    for bit what a call with that variance alone would return from the same
+    generator state.
     """
     sigs = np.asarray(signatures, dtype=np.float64)
     gains = np.asarray(path_gains, dtype=np.complex128)
@@ -283,20 +285,16 @@ def generate_received(
         raise ValueError("symbols must be (n_users, n_symbols) with n_symbols >= 1")
     if gains.shape != (n_symbols, cfg.n_paths):
         raise ValueError("path_gains must be (n_symbols, n_paths)")
-    stacked = isinstance(noise_var, tuple)
-    variances = noise_var if stacked else (
-        cfg.noise_variance if noise_var is None else noise_var,
-    )
 
     signal_re, signal_im = _noiseless_planes(cfg, sigs, gains, b)
     noise_re = rng.standard_normal(signal_re.shape)
     noise_im = rng.standard_normal(signal_re.shape)
-    received = np.empty((len(variances), *signal_re.shape), dtype=np.complex128)
-    for block, var in zip(received, variances):
+    received = np.empty((len(noise_vars), *signal_re.shape), dtype=np.complex128)
+    for block, var in zip(received, noise_vars):
         scale = np.sqrt(var / 2.0)
         block.real = signal_re + scale * noise_re
         block.imag = signal_im + scale * noise_im
-    return received if stacked else received[0]
+    return received
 
 
 def _noiseless_planes(cfg: CdmaConfig, sigs, gains, b) -> tuple[np.ndarray, np.ndarray]:
@@ -361,9 +359,6 @@ class MmseReceiver:
         self._stack = np.concatenate(mats).astype(np.complex128)
         self._eff_shape = (len(mats), cfg.window_len)
         self._weights = np.asarray(weights)
-        self._desired = build_convolution_matrix(sigs[0], cfg.n_paths, 0).astype(
-            np.complex128
-        )
 
     def filter_for(self, channel_gains, noise_var: float) -> np.ndarray:
         """MMSE filter for one channel snapshot (length ``n_paths`` gains)."""
@@ -374,7 +369,8 @@ class MmseReceiver:
         cov = (eff.T * self._weights) @ np.conj(eff)
         # the diagonal, through a view: matmul returns a fresh C-ordered array
         cov.ravel()[:: self._eff_shape[1] + 1] += noise_var + 1e-10
-        steering = self.cfg.amplitudes[0] * (self._desired @ h)
+        # row 1 is user 0's current symbol (shifts -1, 0, 1 per user)
+        steering = self.cfg.amplitudes[0] * eff[1]
         try:
             return np.linalg.solve(cov, steering)
         except np.linalg.LinAlgError:
@@ -419,4 +415,4 @@ class MmseOracle:
         if callable(d):
             d = d(y)
         self.symbol += 1
-        return StepResult(y, complex(d) - y, (y,), (), _NO_MIXING)
+        return StepResult(y, complex(d) - y, (), ())

@@ -94,14 +94,14 @@ class Combiner:
 class MixTree:
     """Constituent filters joined by binary sigmoid mixing nodes.
 
-    Subclasses fix ``NODES``: one ``(record slot, left, right)`` entry per
-    node, children before parents, the root last.  The record slot (0, 1, 2
-    for nodes a, b, c) places the node's mixing value in
-    :attr:`StepResult.lambdas`.  ``combiners[k]`` is the :class:`Combiner`
-    of entry ``k``: scheme A's nodes a, b, c are ``combiners[0..2]``.
+    Subclasses fix ``NODES``: one ``(left, right)`` pair of value indices
+    per node, children before parents, the root last.  ``combiners[k]`` is
+    the :class:`Combiner` of entry ``k``, and a step reports its mixing
+    value as ``lambdas[k]`` of the :class:`StepResult`: scheme A's nodes
+    a, b, c are entries 0, 1, 2.
     """
 
-    NODES: tuple[tuple[int, int, int], ...] = ()
+    NODES: tuple[tuple[int, int], ...] = ()
 
     def __init__(self, filters: Sequence, mus: Sequence[float], u_max: float):
         filters = list(filters)
@@ -113,7 +113,7 @@ class MixTree:
             raise ValueError("constituents must share the window length")
         self.filters = filters
         self.combiners = [Combiner(mu, u_max=u_max) for mu in mus]
-        # (combiner, record slot, left value index, right value index)
+        # (combiner, left value index, right value index)
         self.nodes = [(c, *node) for c, node in zip(self.combiners, self.NODES)]
 
     @property
@@ -130,7 +130,7 @@ class MixTree:
 
     def _mix(self, values: list):
         # mixing values are real, so mixing filters mixes their outputs
-        for c, _, i, j in self.nodes:
+        for c, i, j in self.nodes:
             lam = c.mixing
             values.append(lam * values[i] + (1.0 - lam) * values[j])
         return values[-1]
@@ -147,20 +147,18 @@ class MixTree:
                 ys.append(f._predict(x))
             d = d(self._mix(ys))
         d = complex(d)
-        ys, branches = [], []
+        ys, branches, lambdas = [], [], []
         for f, x in zip(filters, xs):
             res = f._step(x, d)
             ys.append(res.y)
             branches += res.branches
-        outputs = tuple(ys)
-        slots = [math.nan] * 3
-        for c, slot, i, j in self.nodes:
+        for c, i, j in self.nodes:
             lam = c.mixing
-            slots[slot] = lam
+            lambdas.append(lam)
             ys.append(lam * ys[i] + (1.0 - lam) * ys[j])
             c.update(ys[i], ys[j], d - ys[-1], lam)
         y = ys[-1]
-        return StepResult(y, d - y, outputs, tuple(branches), tuple(slots))
+        return StepResult(y, d - y, tuple(branches), tuple(lambdas))
 
 
 # The three schemes fix their node tables.  Each keeps ``step`` and
@@ -172,7 +170,7 @@ class SchemeA(MixTree):
     """Two-level tree over four reduced-rank constituents: node ``a`` mixes
     filters 1/2, node ``b`` mixes 3/4 and node ``c`` mixes the pair outputs."""
 
-    NODES = ((0, 0, 1), (1, 2, 3), (2, 4, 5))
+    NODES = ((0, 1), (2, 3), (4, 5))
     step = MixTree.step
     predict = MixTree.predict
 
@@ -184,7 +182,7 @@ class SchemeA(MixTree):
 class SchemeB(MixTree):
     """Convex combination of two reduced-rank constituents (node ``c``)."""
 
-    NODES = ((2, 0, 1),)
+    NODES = ((0, 1),)
     step = MixTree.step
     predict = MixTree.predict
 
@@ -196,7 +194,7 @@ class Clms(MixTree):
     """Convex combination of two full-tap LMS filters (typically one fast,
     one accurate) through node ``a``."""
 
-    NODES = ((0, 0, 1),)
+    NODES = ((0, 1),)
     step = MixTree.step
     predict = MixTree.predict
 

@@ -34,7 +34,6 @@ decision function to that output and computes ``w^H x`` once.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,25 +41,21 @@ import numpy as np
 from .signalcore import _window, build_hankel, generate_decimation_patterns
 
 
-_NO_MIXING = (math.nan, math.nan, math.nan)
-
-
 @dataclass
 class StepResult:
     """One adaptation step of an adaptive scheme (pre-update quantities).
 
-    ``outputs`` and ``branches`` hold each constituent filter's output and
-    the 0-based decimation branch that won its selection (``branches`` is
-    empty for full-tap LMS constituents); a filter used alone is its own
-    only constituent.  ``lambdas`` are the mixing values of nodes a, b and c,
-    NaN where the scheme has no such node.
+    ``branches`` holds the 0-based decimation branch that won each
+    constituent's selection (empty for full-tap LMS constituents); a filter
+    used alone is its own only constituent.  ``lambdas`` holds the mixing
+    value of each of the scheme's mixing nodes, in node order (empty for a
+    single filter).
     """
 
     y: complex
     e: complex
-    outputs: tuple[complex, ...]
     branches: tuple[int, ...]
-    lambdas: tuple[float, float, float]
+    lambdas: tuple[float, ...]
 
 
 @dataclass
@@ -124,7 +119,7 @@ class FullRankLms:
     def _step(self, x, d) -> StepResult:
         fwd = self._forward(x, d)
         self._commit(fwd)
-        return StepResult(fwd.y, fwd.e, (fwd.y,), (), _NO_MIXING)
+        return StepResult(fwd.y, fwd.e, (), ())
 
     def _forward(self, x, d) -> _LmsForward:
         y = self._predict(x)
@@ -238,7 +233,7 @@ class JidfFilter:
             d = d(self._predict(x))
         fwd = self._forward(x, d)
         self._commit(fwd)
-        return StepResult(fwd.y, fwd.e, (fwd.y,), (fwd.b_opt,), _NO_MIXING)
+        return StepResult(fwd.y, fwd.e, (fwd.b_opt,), ())
 
     def _forward(self, x, d) -> _JidfForward:
         """Pre-update outputs of every branch and the winner's gradients."""

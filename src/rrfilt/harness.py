@@ -71,19 +71,17 @@ class _Scheme(NamedTuple):
     constituents: int
     reduced_rank: bool
     tree: type | None = None  # mixing tree over the constituents, if any
-
-    @property
-    def slots(self) -> tuple[int, ...]:
-        """Record slots (0, 1, 2 for nodes a, b, c) of the mixing nodes."""
-        return tuple(slot for slot, _, _ in self.tree.NODES) if self.tree else ()
+    # record slot of each of the tree's nodes, in node order: 0, 1, 2 are the
+    # lambda_a, lambda_b, lambda_c columns and the mu_a, mu_b, mu_c steps
+    slots: tuple[int, ...] = ()
 
 
 _SCHEMES = {
     "fullrank": _Scheme(1, False),
-    "clms": _Scheme(2, False, Clms),
+    "clms": _Scheme(2, False, Clms, (0,)),
     "jidf": _Scheme(1, True),
-    "scheme_a": _Scheme(4, True, SchemeA),
-    "scheme_b": _Scheme(2, True, SchemeB),
+    "scheme_a": _Scheme(4, True, SchemeA, (0, 1, 2)),
+    "scheme_b": _Scheme(2, True, SchemeB, (2,)),
     "mmse": _Scheme(0, False),
 }
 SCHEMES = tuple(_SCHEMES)
@@ -145,10 +143,17 @@ class ExperimentConfig:
             raise ConfigError("train_mode must be 'supervised' or 'semi'")
         if self.train_mode == "semi" and self.train_symbols < 0:
             raise ConfigError("train_symbols must be >= 0")
+        # every scheme's window must fit an array index: the MMSE oracle
+        # builds nothing here
+        window_len = self.cdma.window_len
+        if window_len > sys.maxsize:
+            raise ConfigError(
+                f"scheme {self.scheme!r}: window length chips + paths - 1 must be "
+                f"<= {sys.maxsize}"
+            )
         # one n_branches rule for every scheme: a reduced-rank bank's patterns
         # start at distinct offsets inside the window, and every run keeps a
         # histogram of n_branches entries
-        window_len = self.cdma.window_len
         if not 1 <= self.n_branches <= window_len:
             raise ConfigError(
                 f"n_branches must satisfy 1 <= n_branches <= window length "
@@ -429,7 +434,7 @@ class _RunResult:
 
     errors: np.ndarray  # (n_symbols,) uint8 slicer-decision errors
     sq_err: np.ndarray  # (n_symbols,) |d - y|^2
-    lambdas: np.ndarray  # (n_symbols, 3) mixing values, NaN where absent
+    lambdas: np.ndarray  # (n_symbols, n_nodes) mixing values, in node order
     b_opt: np.ndarray  # (n_symbols,) first constituent branch; empty without branches
     branch_hist: np.ndarray  # (n_branches,) selections over all constituents
     diverged: bool
@@ -570,7 +575,7 @@ def _reduce(cfg: ExperimentConfig, runs: list[_RunResult]) -> ExperimentRecord:
         err_counts = np.sum([r.errors for r in good], axis=0).astype(np.float64)
         cumulative = np.cumsum(err_counts) / (np.arange(1, n + 1) * len(good))
         mse = np.mean([r.sq_err for r in good], axis=0)
-        lam = np.mean([r.lambdas for r in good], axis=0)
+        lam = np.mean([r.lambdas for r in good], axis=0)  # (n, n_nodes)
         hist = np.sum([r.branch_hist for r in good], axis=0)
         per_run = np.array(
             [r.errors.sum() / n if not r.diverged else np.nan for r in runs]
@@ -586,15 +591,17 @@ def _reduce(cfg: ExperimentConfig, runs: list[_RunResult]) -> ExperimentRecord:
     else:
         cumulative = np.full(n, np.nan)
         mse = np.full(n, np.nan)
-        lam = np.full((n, 3), np.nan)
+        lam = np.full((n, len(spec.slots)), np.nan)
         hist = np.zeros(cfg.n_branches, dtype=np.int64)
         per_run = np.full(cfg.n_runs, np.nan)
         mode = None
 
-    # each mixing column copied out, so a record does not pin all three
-    lambda_a, lambda_b, lambda_c = (
-        lam[:, slot].copy() if slot in spec.slots else None for slot in range(3)
-    )
+    # node k's mixing goes to column slots[k], each copied out, so a record
+    # does not pin the whole stack
+    columns = [None] * 3
+    for k, slot in enumerate(spec.slots):
+        columns[slot] = lam[:, k].copy()
+    lambda_a, lambda_b, lambda_c = columns
     return ExperimentRecord(
         scheme=cfg.scheme,
         n_symbols=n,

@@ -81,8 +81,14 @@ class TestSignatures:
         assert len({row.tobytes() for row in s}) == 4
 
     def test_rejects_impossible_request(self):
-        with pytest.raises(ValueError):
-            generate_signatures(5, 2, np.random.default_rng(3))
+        for n_users in (5, np.int64(5)):
+            with pytest.raises(ValueError, match="cannot draw 5 distinct"):
+                generate_signatures(n_users, 2, np.random.default_rng(3))
+
+    def test_huge_chip_count_fails_promptly(self):
+        # the distinctness check builds no 2**n_chips; numpy refuses the draw
+        with pytest.raises(ValueError, match="Maximum allowed dimension exceeded"):
+            generate_signatures(2, 10**300, np.random.default_rng(3))
 
     def test_config_rejects_more_users_than_signatures(self):
         CdmaConfig(n_users=4, n_chips=2, n_paths=1)
@@ -178,7 +184,7 @@ class TestGenerateReceived:
         sigs = generate_signatures(1, 8, rng)
         symbols = qpsk_symbols(rng, 1, 5)
         gains = self._static_gains(5, 1, [1.0])
-        r = generate_received(cfg, sigs, gains, symbols, rng)
+        r = generate_received(cfg, sigs, gains, symbols, rng, (cfg.noise_variance,))[0]
         for i in range(5):
             assert_allclose(r[i], symbols[0, i] * sigs[0], atol=0)
 
@@ -193,7 +199,7 @@ class TestGenerateReceived:
         sigs = generate_signatures(3, 8, sig_rng)
         symbols = qpsk_symbols(sig_rng, 3, 40)
         gains = ClarkeChannel(3, 1e-3, sig_rng).run(40)
-        lib = generate_received(cfg, sigs, gains, symbols, rng_lib)
+        lib = generate_received(cfg, sigs, gains, symbols, rng_lib, (cfg.noise_variance,))[0]
         oracle = chip_stream_oracle(cfg, sigs, gains, symbols, rng_oracle)
         assert_array_equal(lib, oracle)
 
@@ -209,7 +215,9 @@ class TestGenerateReceived:
         gains = ClarkeChannel(9, 5e-3, setup).run(12)
         symbols = qpsk_symbols(setup, 8, 12)
         assert (~(gains != 0).any(axis=0)).sum() >= 6
-        lib = generate_received(cfg, sigs, gains, symbols, np.random.default_rng(5))
+        lib = generate_received(
+            cfg, sigs, gains, symbols, np.random.default_rng(5), (cfg.noise_variance,)
+        )[0]
         oracle = chip_stream_oracle(cfg, sigs, gains, symbols, np.random.default_rng(5))
         assert_array_equal(lib, oracle)
 
@@ -229,12 +237,10 @@ class TestGenerateReceived:
         assert stacked.shape == (4, 30, cfg.window_len)
         for block, var in zip(stacked, variances):
             alone_rng = np.random.default_rng(17)
-            alone = generate_received(cfg, sigs, gains, symbols, alone_rng, var)
+            alone = generate_received(cfg, sigs, gains, symbols, alone_rng, (var,))[0]
             assert_array_equal(block, alone)
             # one draw serves every variance: the generator ends in one state
             assert alone_rng.standard_normal() == after
-        default = generate_received(cfg, sigs, gains, symbols, np.random.default_rng(17))
-        assert_array_equal(default, stacked[0])
 
     def test_linear_in_each_symbol(self):
         cfg = CdmaConfig(n_users=2, n_chips=8, n_paths=3, snr_db=np.inf)
@@ -242,8 +248,9 @@ class TestGenerateReceived:
         sigs = generate_signatures(2, 8, rng)
         gains = ClarkeChannel(3, 0.0, rng).run(6)
         base = qpsk_symbols(rng, 2, 6)
-        r1 = generate_received(cfg, sigs, gains, base, np.random.default_rng(0))
-        r2 = generate_received(cfg, sigs, gains, 2 * base, np.random.default_rng(0))
+        noise = (cfg.noise_variance,)
+        r1 = generate_received(cfg, sigs, gains, base, np.random.default_rng(0), noise)[0]
+        r2 = generate_received(cfg, sigs, gains, 2 * base, np.random.default_rng(0), noise)[0]
         assert_allclose(r2, 2 * r1, atol=1e-14)
 
     def test_noise_only_covariance(self):
@@ -256,7 +263,7 @@ class TestGenerateReceived:
         symbols = qpsk_symbols(rng, 1, n)
         gains = self._static_gains(n, 3, [1.0, 0.5, 0.25])
         noise_var = 0.37
-        r = generate_received(cfg, sigs, gains, symbols, rng, noise_var=noise_var)
+        r = generate_received(cfg, sigs, gains, symbols, rng, (noise_var,))[0]
         diag = np.mean(np.abs(r) ** 2, axis=0)
         assert np.all(np.abs(diag - noise_var) <= 0.05 * noise_var)
         # off-diagonal correlation should be near zero
@@ -282,7 +289,7 @@ class TestGenerateReceived:
         sigs = generate_signatures(2, 4, rng)
         symbols = qpsk_symbols(rng, 2, 3)
         with pytest.raises(ValueError):
-            generate_received(cfg, sigs, np.zeros((2, 2)), symbols, rng)
+            generate_received(cfg, sigs, np.zeros((2, 2)), symbols, rng, (cfg.noise_variance,))
 
 
 def mmse_system(cfg, signatures, channel_gains, loading):

@@ -36,6 +36,12 @@ def step_with_equivalent(scheme, r, d):
     return res, before.equivalent()
 
 
+def solo_outputs(scheme, r, d):
+    """Each constituent's output in the step ``scheme.step(r, d)`` is about
+    to take: the outputs of deep copies of the constituents, stepped alone."""
+    return [f.step(r, d).y for f in copy.deepcopy(scheme.filters)]
+
+
 def _jidf(m, rank, interp, eta, mu, n_branches=2):
     return JidfFilter(m, interp, rank, n_branches, eta=eta, mu=mu)
 
@@ -148,10 +154,11 @@ class TestSchemeB:
         f1.w_bar = f2.w_bar = np.array([0.3, -0.2j, 1.0], dtype=complex)
         scheme = SchemeB([f1, f2], mu_c=0.25)
         r = _random_complex(rng, 6)
+        outputs = solo_outputs(scheme, r, 1.0)
         diag = scheme.step(r, 1.0)
         y = diag.y
-        assert y == pytest.approx(diag.outputs[0], rel=1e-12)
-        assert diag.lambdas[2] == 0.5
+        assert y == pytest.approx(outputs[0], rel=1e-12)
+        assert diag.lambdas == (0.5,)
 
     def test_output_matches_equivalent_filter_during_adaptation(self):
         rng = np.random.default_rng(3)
@@ -181,12 +188,11 @@ class TestSchemeB:
         (node,) = scheme.combiners
         node.u = node.u_max
         r = _random_complex(rng, 8)
+        outputs = solo_outputs(scheme, r, 0.5)
         diag = scheme.step(r, 0.5)
         y = diag.y
-        slack = (1 - sigmoid(node.u_max)) * (
-            abs(diag.outputs[0]) + abs(diag.outputs[1])
-        )
-        assert abs(y - diag.outputs[0]) <= slack + 1e-12
+        slack = (1 - sigmoid(node.u_max)) * (abs(outputs[0]) + abs(outputs[1]))
+        assert abs(y - outputs[0]) <= slack + 1e-12
 
     def test_constituents_match_standalone_when_combiner_frozen(self):
         rng = np.random.default_rng(6)
@@ -231,10 +237,11 @@ class TestSchemeA:
             f.w_bar = np.array([0.5, 0.1j, -1.0], dtype=complex)
         scheme = SchemeA(filters, mu_a=0.25, mu_b=0.25, mu_c=0.25)
         r = _random_complex(rng, 6)
+        outputs = solo_outputs(scheme, r, 1.0)
         diag = scheme.step(r, 1.0)
         y = diag.y
-        assert y == pytest.approx(diag.outputs[0], rel=1e-12)
-        assert diag.lambdas[0] == diag.lambdas[1] == diag.lambdas[2] == 0.5
+        assert y == pytest.approx(outputs[0], rel=1e-12)
+        assert diag.lambdas == (0.5, 0.5, 0.5)
 
     def test_endpoint_selects_first_constituent(self):
         rng = np.random.default_rng(8)
@@ -243,10 +250,11 @@ class TestSchemeA:
         node_a.u = node_a.u_max
         node_c.u = node_c.u_max
         r = _random_complex(rng, 8)
+        outputs = solo_outputs(scheme, r, 0.2)
         diag = scheme.step(r, 0.2)
         y = diag.y
-        slack = (1 - sigmoid(4.0)) * sum(abs(o) for o in diag.outputs) * 2
-        assert abs(y - diag.outputs[0]) <= slack + 1e-12
+        slack = (1 - sigmoid(4.0)) * sum(abs(o) for o in outputs) * 2
+        assert abs(y - outputs[0]) <= slack + 1e-12
 
     def test_output_matches_equivalent_filter_during_adaptation(self):
         rng = np.random.default_rng(9)
@@ -291,9 +299,10 @@ class TestClms:
         f2.w = w.copy()
         scheme = Clms([f1, f2], mu_a=0.25)
         r = _random_complex(rng, 6)
+        outputs = solo_outputs(scheme, r, 1.0)
         diag = scheme.step(r, 1.0)
         y = diag.y
-        assert y == pytest.approx(diag.outputs[0], rel=1e-12)
+        assert y == pytest.approx(outputs[0], rel=1e-12)
         assert scheme.combiners[0].u == 0.0  # zero gradient at y1 == y2
 
     def test_endpoint_mixing(self):
@@ -305,10 +314,11 @@ class TestClms:
         (node,) = scheme.combiners
         node.u = node.u_max
         r = _random_complex(rng, 6)
+        outputs = solo_outputs(scheme, r, 0.0)
         diag = scheme.step(r, 0.0)
         y = diag.y
-        slack = (1 - sigmoid(4.0)) * (abs(diag.outputs[0]) + abs(diag.outputs[1]))
-        assert abs(y - diag.outputs[0]) <= slack + 1e-12
+        slack = (1 - sigmoid(4.0)) * (abs(outputs[0]) + abs(outputs[1]))
+        assert abs(y - outputs[0]) <= slack + 1e-12
 
     def test_equivalent_filter_identity(self):
         rng = np.random.default_rng(13)
@@ -368,15 +378,15 @@ class TestMixingBounds:
             r = _random_complex(rng, 8)
             d = complex(*rng.standard_normal(2))
             diag = scheme.step(r, d)
-            assert lo <= diag.lambdas[2] <= hi
+            assert lo <= diag.lambdas[0] <= hi
 
 
-# (record slot, left value index, right value index) per mixing node, root
-# last; written out here independently of the schemes' own tables
+# (left value index, right value index) per mixing node, root last; written
+# out here independently of the schemes' own tables
 _TREES = {
-    "clms": ((0, 0, 1),),
-    "scheme_b": ((2, 0, 1),),
-    "scheme_a": ((0, 0, 1), (1, 2, 3), (2, 4, 5)),
+    "clms": ((0, 1),),
+    "scheme_b": ((0, 1),),
+    "scheme_a": ((0, 1), (2, 3), (4, 5)),
 }
 
 
@@ -434,9 +444,10 @@ class TestConstituentSteps:
             u_before = [c.u for c in nodes]
             diag, w_eq = step_with_equivalent(scheme, r, d)
             assert abs(diag.y - np.vdot(w_eq, r)) <= 1e-10 * (1 + abs(diag.y))
+            ys = []
             for j, solo in enumerate(solos):
                 res = solo.step(r, d)
-                assert repr(diag.outputs[j]) == repr(res.y)
+                ys.append(res.y)
                 assert diag.branches[j:j + 1] == res.branches
             for f, solo in zip(filters, solos):
                 if kind == "clms":
@@ -444,15 +455,14 @@ class TestConstituentSteps:
                 else:
                     assert_array_equal(f.v, solo.v)
                     assert_array_equal(f.w_bar, solo.w_bar)
-            ys = list(diag.outputs)
-            lambdas = [np.nan] * 3
-            for (slot, i, j), c, u in zip(tree, nodes, u_before):
+            lambdas = []
+            for (i, j), c, u in zip(tree, nodes, u_before):
                 lam = sigmoid(u)
                 y_node = lam * ys[i] + (1 - lam) * ys[j]
                 grad = ((ys[i] - ys[j]).conjugate() * (d - y_node)).real * lam * (1 - lam)
                 assert repr(c.u) == repr(min(max(u + c.mu * grad, -u_max), u_max))
                 ys.append(y_node)
-                lambdas[slot] = lam
+                lambdas.append(lam)
             assert repr(diag.y) == repr(ys[-1])
             assert repr(diag.e) == repr(d - ys[-1])
             assert repr(diag.lambdas) == repr(tuple(lambdas))
@@ -526,7 +536,7 @@ class TestDecisionDirectedStep:
             assert abs(y_eq - prediction) <= 1e-10 * (1 + abs(prediction))
             want = by_symbol.step(r, detect_qpsk(prediction))
             assert [repr(y) for y in seen] == [repr(prediction)]
-            for name in ("y", "e", "outputs", "branches", "lambdas"):
+            for name in ("y", "e", "branches", "lambdas"):
                 assert repr(getattr(got, name)) == repr(getattr(want, name)), name
             assert _state(by_function) == _state(by_symbol)
             scheme = by_function

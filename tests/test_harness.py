@@ -172,6 +172,17 @@ combiners: {mu_c: 0.25}
                 config_from_dict(
                     {"scheme": scheme, "branches": [branch], "cdma": {"chips": 1e300}}
                 )
+        # so is the window length, for every scheme: the MMSE oracle builds
+        # nothing in validate, and used to start its run on such a config
+        for scheme in harness.SCHEMES:
+            branches = [
+                {k: v for k, v in dataclasses.asdict(b).items() if v is not None}
+                for b in tiny_config(scheme).branches
+            ]
+            for cdma in ({"chips": 1e300}, {"chips": sys.maxsize}, {"paths": sys.maxsize}):
+                with pytest.raises(ConfigError, match="window length chips . paths - 1"):
+                    config_from_dict({"scheme": scheme, "n_symbols": 5, "n_runs": 1,
+                                      "branches": branches, "cdma": cdma})
         # run and symbol counts are checked before any run starts
         for key in ("n_runs", "n_symbols"):
             for value in (1e300, sys.maxsize + 1):
@@ -290,16 +301,30 @@ class TestComplexityReport:
 
 
 class TestRunExperiment:
-    def test_record_shapes_and_ranges(self):
-        rec = run_experiment(tiny_config("scheme_b"))
+    @pytest.mark.parametrize("scheme", harness.SCHEMES)
+    def test_record_shapes_and_ranges(self, scheme):
+        cfg = tiny_config(scheme)
+        rec = run_experiment(cfg)
+        assert rec.diverged_runs == 0
         assert rec.cumulative_ber.shape == (80,)
         assert rec.mse.shape == (80,)
         assert np.all((rec.cumulative_ber >= 0) & (rec.cumulative_ber <= 1))
-        assert rec.lambda_c.shape == (80,)
-        assert rec.lambda_a is None and rec.lambda_b is None
-        assert rec.branch_hist.sum() == 2 * 80 * 3  # filters * symbols * runs
-        assert rec.b_opt_mode.shape == (80,)
-        assert rec.complexity is not None
+        # a mixing column exactly where the scheme has a node of that name
+        nodes = {"clms": "a", "scheme_b": "c", "scheme_a": "abc"}.get(scheme, "")
+        for node in "abc":
+            lam = getattr(rec, f"lambda_{node}")
+            if node in nodes:
+                assert lam.shape == (80,)
+                assert np.all((lam > 0) & (lam < 1))
+            else:
+                assert lam is None
+        if scheme in ("jidf", "scheme_b", "scheme_a"):
+            # constituents * symbols * runs
+            assert rec.branch_hist.sum() == len(cfg.branches) * 80 * 3
+            assert rec.b_opt_mode.shape == (80,)
+        else:
+            assert rec.branch_hist is None and rec.b_opt_mode is None
+        assert (rec.complexity is None) == (scheme == "mmse")
         assert rec.per_run_ber.shape == (3,)
 
     def test_cumulative_error_count_non_decreasing(self):
@@ -808,6 +833,24 @@ class TestCliRejectsBadValues:
         assert capsys.readouterr().err.startswith(
             "error: cdma section: 5 users need distinct signatures"
         )
+        assert not out.exists()
+
+    def test_window_past_any_index_fails_fast(self, tmp_path):
+        # the MMSE oracle's run used to spin on 2**n_chips in generate_signatures
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(yaml.safe_dump(
+            {"scheme": "mmse", "n_symbols": 5, "n_runs": 1, "cdma": {"chips": 1e300}}
+        ))
+        out = tmp_path / "o.csv"
+        path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p),
+                   RRFILT_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "rrfilt", "run", "--config", str(cfg), "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: scheme 'mmse': window length")
         assert not out.exists()
 
 
