@@ -30,15 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .filters import FullRankLms, JidfFilter, StepResult
-
-
-class Diverged(ValueError):
-    """A non-finite value reached a mixing node: the scheme has diverged.
-
-    Internal signal: the experiment harness counts the run as diverged and
-    lets every other exception propagate.
-    """
+from .filters import StepResult
 
 
 def sigmoid(u: float) -> float:
@@ -84,9 +76,11 @@ class Combiner:
         ``u += mu * Re{conj(y1 - y2) * e} * lam * (1 - lam)``, then clip.
         The real part is the exact gradient of the squared combined error
         with respect to the real parameter ``u``.
+        A non-finite ``y1``, ``y2`` or ``e`` leaves ``u`` unchanged: ``lam``
+        stays strictly inside (0, 1), so the value reaches the tree's output.
         """
         if not (cmath.isfinite(y1) and cmath.isfinite(y2) and cmath.isfinite(e)):
-            raise Diverged("combiner inputs must be finite")
+            return
         grad = ((y1 - y2).conjugate() * e).real * lam * (1.0 - lam)
         self.u = float(min(max(self.u + self.mu * grad, -self.u_max), self.u_max))
 
@@ -95,20 +89,22 @@ class MixTree:
     """Constituent filters joined by binary sigmoid mixing nodes.
 
     Subclasses fix ``NODES``: one ``(left, right)`` pair of value indices
-    per node, children before parents, the root last.  ``combiners[k]`` is
-    the :class:`Combiner` of entry ``k``, and a step reports its mixing
-    value as ``lambdas[k]`` of the :class:`StepResult`: scheme A's nodes
-    a, b, c are entries 0, 1, 2.
+    per node, children before parents, the root last.  ``mus`` holds one
+    step size per node, in the same order, and ``combiners[k]`` is the
+    :class:`Combiner` of entry ``k``; a step reports its mixing value as
+    ``lambdas[k]`` of the :class:`StepResult`.  Scheme A's nodes a, b, c
+    are entries 0, 1, 2.
     """
 
     NODES: tuple[tuple[int, int], ...] = ()
 
-    def __init__(self, filters: Sequence, mus: Sequence[float], u_max: float):
-        filters = list(filters)
-        if len(filters) != len(self.NODES) + 1:
-            raise ValueError(
-                f"{type(self).__name__} combines exactly {len(self.NODES) + 1} filters"
-            )
+    def __init__(self, filters: Sequence, mus: Sequence[float], u_max: float = 4.0):
+        filters, mus = list(filters), list(mus)
+        name, n_nodes = type(self).__name__, len(self.NODES)
+        if len(filters) != n_nodes + 1:
+            raise ValueError(f"{name} combines exactly {n_nodes + 1} filters")
+        if len(mus) != n_nodes:
+            raise ValueError(f"{name} takes exactly {n_nodes} node step sizes, got {len(mus)}")
         if len({f.num_taps for f in filters}) != 1:
             raise ValueError("constituents must share the window length")
         self.filters = filters
@@ -174,10 +170,6 @@ class SchemeA(MixTree):
     step = MixTree.step
     predict = MixTree.predict
 
-    def __init__(self, filters: Sequence[JidfFilter], mu_a: float, mu_b: float,
-                 mu_c: float, u_max: float = 4.0):
-        super().__init__(filters, (mu_a, mu_b, mu_c), u_max)
-
 
 class SchemeB(MixTree):
     """Convex combination of two reduced-rank constituents (node ``c``)."""
@@ -185,9 +177,6 @@ class SchemeB(MixTree):
     NODES = ((0, 1),)
     step = MixTree.step
     predict = MixTree.predict
-
-    def __init__(self, filters: Sequence[JidfFilter], mu_c: float, u_max: float = 4.0):
-        super().__init__(filters, (mu_c,), u_max)
 
 
 class Clms(MixTree):
@@ -197,6 +186,3 @@ class Clms(MixTree):
     NODES = ((0, 1),)
     step = MixTree.step
     predict = MixTree.predict
-
-    def __init__(self, filters: Sequence[FullRankLms], mu_a: float, u_max: float = 4.0):
-        super().__init__(filters, (mu_a,), u_max)

@@ -63,7 +63,7 @@ from .cdma import (
     generate_signatures,
     qpsk_symbols,
 )
-from .combiners import Clms, Combiner, Diverged, SchemeA, SchemeB
+from .combiners import Clms, Combiner, SchemeA, SchemeB
 from .filters import FullRankLms, JidfFilter
 
 
@@ -177,7 +177,8 @@ class ExperimentConfig:
         if spec.constituents:
             try:
                 _build_scheme(self)
-            except (ValueError, OverflowError) as exc:  # overflow: sizes past any index
+            # overflow: sizes past any index; memory: sizes past this machine
+            except (ValueError, OverflowError, MemoryError) as exc:
                 raise ConfigError(f"scheme {self.scheme!r}: {exc}") from exc
 
 
@@ -188,8 +189,8 @@ class ExperimentRecord:
     ``cumulative_ber[i]`` is the error ratio of the slicer decisions over
     symbols ``0..i``; ``mse[i]`` the run-averaged instantaneous squared error
     of the scheme output.  Mixing trajectories and branch statistics are
-    ``None`` for schemes that do not have them.  Diverged runs (non-finite
-    filter state) are excluded from every average and counted.
+    ``None`` for schemes that do not have them.  Runs that diverge (see
+    :func:`_run_point`) are excluded from every average and counted.
     ``wall_time`` is the elapsed seconds of the call that produced the
     record: for a sweep, the whole sweep.
     """
@@ -424,7 +425,7 @@ def _build_scheme(cfg: ExperimentConfig, signatures=None, gains=None, noise_var=
     if spec.tree is None:
         return filters[0]
     steps = (cfg.combiners.mu_a, cfg.combiners.mu_b, cfg.combiners.mu_c)
-    return spec.tree(filters, *(steps[s] for s in spec.slots), u_max=cfg.u_max)
+    return spec.tree(filters, [steps[s] for s in spec.slots], u_max=cfg.u_max)
 
 
 @dataclass
@@ -465,26 +466,21 @@ def _single_run(
 
 
 def _run_point(cfg, desired_user, received, scheme) -> _RunResult:
-    """One run's symbol loop at one noise variance, through ``scheme``."""
+    """One run's symbol loop at one noise variance, through ``scheme``.  The
+    run diverges, and stops, at its first symbol whose output or squared
+    error is not finite (overflow is expected for aggressive step sizes)."""
     n = cfg.n_symbols
     supervised_until = n if cfg.train_mode == "supervised" else cfg.train_symbols
     # per-symbol bookkeeping in lists, made arrays once per run
     errors, sq_err, lambdas, b_opt, picks = [], [], [], [], []
     diverged = False
 
-    # divergence is flagged, not raised: overflow inside a blowing-up filter
-    # is expected for aggressive step sizes and the run is simply excluded
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n):
-            try:
-                # past training, the scheme decides on its own output
-                res = scheme.step(
-                    received[i], desired_user[i] if i < supervised_until else detect_qpsk
-                )
-            except Diverged:
-                # the combiner's finiteness guard trips on diverged constituents
-                diverged = True
-                break
+            # past training, the scheme decides on its own output
+            res = scheme.step(
+                received[i], desired_user[i] if i < supervised_until else detect_qpsk
+            )
             y = res.y
             err_sq = float(np.abs(np.complex128(res.e)) ** 2)
             if not (cmath.isfinite(y) and math.isfinite(err_sq)):
@@ -780,8 +776,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (ConfigError, OSError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     return 0
 

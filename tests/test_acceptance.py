@@ -19,6 +19,7 @@ from rrfilt.harness import (
     ExperimentConfig,
     complexity_report,
     run_experiment,
+    snr_sweep,
 )
 from rrfilt.signalcore import build_hankel
 from test_cdma import chip_stream_oracle
@@ -88,13 +89,13 @@ def test_c1_algebraic_identities():
                 JidfFilter(m, 3, 3, 4, eta=0.002, mu=0.005),
                 JidfFilter(m, 4, 6, 4, eta=0.002, mu=0.005),
             ]
-            scheme = SchemeA(filters, 0.25, 0.25, 0.25)
+            scheme = SchemeA(filters, [0.25, 0.25, 0.25])
         else:
             filters = [
                 JidfFilter(m, 3, 3, 4, eta=0.005, mu=0.02),
                 JidfFilter(m, 4, 6, 4, eta=0.002, mu=0.005),
             ]
-            scheme = SchemeB(filters, 0.25)
+            scheme = SchemeB(filters, [0.25])
         plant = _crand(rng2, m)
         for _ in range(1000):
             r = _crand(rng2, m)
@@ -274,7 +275,7 @@ def test_c5_combiner_converges_to_better_constituent():
         plant = _crand(rng, m) / s2
         f1 = JidfFilter(m, 2, 4, 2, eta=0.005, mu=0.02)
         f2 = JidfFilter(m, 2, 4, 2, eta=0.005, mu=0.25)
-        scheme = SchemeB([f1, f2], mu_c=2.0)
+        scheme = SchemeB([f1, f2], [2.0])
         for _ in range(2000):
             r = _crand(rng, m) / s2
             d = np.vdot(plant, r) + 0.3 * complex(*rng.standard_normal(2)) / s2
@@ -349,14 +350,13 @@ def test_c6_desk_scale_combination_gain():
 
 
 def test_c7_snr_sweep_qualitative():
+    # one sweep per scheme: each point is bit for bit run_experiment's record
     snrs = (4.0, 8.0, 12.0, 16.0)
-    mmse, mmse_sem, scheme_b, jidf = [], [], [], []
-    for snr in snrs:
-        rec_m = run_experiment(_desk_config("mmse", snr=snr))
-        mmse.append(rec_m.final_ber)
-        mmse_sem.append(np.nanstd(rec_m.per_run_ber) / np.sqrt(rec_m.n_runs))
-        scheme_b.append(run_experiment(_desk_config("scheme_b", snr=snr)).final_ber)
-        jidf.append(run_experiment(_desk_config("jidf", snr=snr)).final_ber)
+    recs_m = snr_sweep(_desk_config("mmse"), snrs)
+    mmse = [rec.final_ber for rec in recs_m]
+    mmse_sem = [np.nanstd(rec.per_run_ber) / np.sqrt(rec.n_runs) for rec in recs_m]
+    scheme_b = [rec.final_ber for rec in snr_sweep(_desk_config("scheme_b"), snrs)]
+    jidf = [rec.final_ber for rec in snr_sweep(_desk_config("jidf"), snrs)]
     for i in range(len(snrs) - 1):
         slack = 2.0 * np.hypot(mmse_sem[i], mmse_sem[i + 1])
         assert mmse[i + 1] <= mmse[i] + slack, (snrs[i + 1], mmse)

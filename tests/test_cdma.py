@@ -12,6 +12,7 @@ from test_golden import GOLDEN, platform_fingerprint
 from rrfilt.cdma import (
     CdmaConfig,
     ClarkeChannel,
+    MmseOracle,
     MmseReceiver,
     build_convolution_matrix,
     detect_qpsk,
@@ -424,6 +425,40 @@ class TestMmse:
         assert_array_equal(cov, np.diag([0.3125, 0.0]))  # |h|^2 = 0.3125
         assert_array_equal(w, np.linalg.pinv(cov) @ steering)
         assert w[0] != 0
+
+
+class TestMmseAnchor:
+    """Portable physics floor, on every platform: with the channel frozen
+    (zero Doppler) the MMSE oracle's sample MSE over a run must match that
+    run's analytic minimum ``J_min = 1 - Re(p^H w)`` of the normal equations,
+    ``w = filter_for(h, noise_var)`` and ``p`` the desired user's steering
+    vector, within the sample's own standard error."""
+
+    def test_sample_mse_matches_j_min_at_zero_doppler(self):
+        # the desk downlink of configs/mmse.yaml, frozen
+        cfg = CdmaConfig(n_users=8, n_chips=32, n_paths=9, snr_db=15.0, doppler=0.0,
+                         amplitudes=(1.0,) + (0.35,) * 7)
+        n, noise_var = 1500, cfg.noise_variance
+        zs = []
+        for seed in range(20240, 20248):
+            rng = np.random.default_rng(seed)
+            signatures = generate_signatures(cfg.n_users, cfg.n_chips, rng)
+            channel = ClarkeChannel(cfg.n_paths, cfg.doppler, rng,
+                                    profile_db=cfg.path_profile_db)
+            symbols = qpsk_symbols(rng, cfg.n_users, n)
+            gains = channel.run(n)
+            (received,) = generate_received(cfg, signatures, gains, symbols, rng, (noise_var,))
+            receiver = MmseReceiver(cfg, signatures)
+            oracle = MmseOracle(receiver, gains, noise_var)
+            sq_err = np.array([abs(oracle.step(r, d).e) ** 2
+                               for r, d in zip(received, symbols[0])])
+            h = gains[0]
+            assert_array_equal(gains, np.broadcast_to(h, gains.shape))
+            w = receiver.filter_for(h, noise_var)
+            p = cfg.amplitudes[0] * build_convolution_matrix(signatures[0], cfg.n_paths) @ h
+            j_min = 1.0 - np.vdot(p, w).real
+            zs.append((sq_err.mean() - j_min) / (sq_err.std() / np.sqrt(n)))
+        assert max(map(abs, zs)) <= 4.0, zs
 
 
 class TestDetectQpsk:

@@ -115,10 +115,18 @@ class TestCombiner:
             with pytest.raises(ValueError, match="u_max must be positive"):
                 Combiner(1e6, u_max=u_max)
 
-    def test_rejects_non_finite(self):
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0.0, np.nan)])
+    @pytest.mark.parametrize("slot", ["y1", "y2", "e"])
+    def test_non_finite_input_leaves_mixing_unchanged(self, slot, bad):
+        # the non-finite value goes on to the tree's output, where the
+        # harness counts the run as diverged
         c = Combiner(mu=0.5)
-        with pytest.raises(ValueError):
-            c.update(np.inf, 0.0, 0.0, c.mixing)
+        c.u = 1.5
+        mixing = c.mixing
+        args = {"y1": 1.0 + 0.5j, "y2": -0.25j, "e": 0.3 - 0.1j, slot: bad}
+        c.update(args["y1"], args["y2"], args["e"], mixing)
+        assert c.u == 1.5
+        assert c.mixing == mixing
 
     def test_gradient_matches_finite_difference(self):
         # update term vs the derivative of half the squared combined error,
@@ -144,7 +152,7 @@ class TestSchemeB:
     def _make(self, rng, m=8):
         f1 = _randomize(_jidf(m, 3, 2, 0.01, 0.05), rng)
         f2 = _randomize(_jidf(m, 4, 2, 0.01, 0.05), rng)
-        return SchemeB([f1, f2], mu_c=0.25)
+        return SchemeB([f1, f2], [0.25])
 
     def test_equal_outputs_pass_through(self):
         rng = np.random.default_rng(2)
@@ -152,7 +160,7 @@ class TestSchemeB:
         f2 = _jidf(6, 3, 2, 0.0, 0.0)
         f1.v = f2.v = np.array([1.0, 0.5], dtype=complex)
         f1.w_bar = f2.w_bar = np.array([0.3, -0.2j, 1.0], dtype=complex)
-        scheme = SchemeB([f1, f2], mu_c=0.25)
+        scheme = SchemeB([f1, f2], [0.25])
         r = _random_complex(rng, 6)
         outputs = solo_outputs(scheme, r, 1.0)
         diag = scheme.step(r, 1.0)
@@ -199,7 +207,7 @@ class TestSchemeB:
         f1 = _randomize(_jidf(8, 3, 2, 0.02, 0.08), rng)
         f2 = _randomize(_jidf(8, 4, 3, 0.01, 0.03), rng)
         solo1, solo2 = copy.deepcopy(f1), copy.deepcopy(f2)
-        scheme = SchemeB([f1, f2], mu_c=0.0)
+        scheme = SchemeB([f1, f2], [0.0])
         for _ in range(100):
             r = _random_complex(rng, 8)
             d = complex(*rng.standard_normal(2))
@@ -214,9 +222,9 @@ class TestSchemeB:
 
     def test_requires_two_filters_of_one_size(self):
         with pytest.raises(ValueError):
-            SchemeB([_jidf(8, 3, 2, 0.01, 0.05)], mu_c=0.25)
+            SchemeB([_jidf(8, 3, 2, 0.01, 0.05)], [0.25])
         with pytest.raises(ValueError):
-            SchemeB([_jidf(8, 3, 2, 0.01, 0.05), _jidf(6, 3, 2, 0.01, 0.05)], mu_c=0.25)
+            SchemeB([_jidf(8, 3, 2, 0.01, 0.05), _jidf(6, 3, 2, 0.01, 0.05)], [0.25])
 
 
 class TestSchemeA:
@@ -227,7 +235,7 @@ class TestSchemeA:
             _randomize(_jidf(m, 3, 2, 0.002, 0.01), rng),
             _randomize(_jidf(m, 4, 3, 0.002, 0.01), rng),
         ]
-        return SchemeA(filters, mu_a=0.25, mu_b=0.25, mu_c=0.25)
+        return SchemeA(filters, [0.25, 0.25, 0.25])
 
     def test_identical_outputs_pass_through(self):
         rng = np.random.default_rng(7)
@@ -235,7 +243,7 @@ class TestSchemeA:
         for f in filters:
             f.v = np.array([1.0, -0.25], dtype=complex)
             f.w_bar = np.array([0.5, 0.1j, -1.0], dtype=complex)
-        scheme = SchemeA(filters, mu_a=0.25, mu_b=0.25, mu_c=0.25)
+        scheme = SchemeA(filters, [0.25, 0.25, 0.25])
         r = _random_complex(rng, 6)
         outputs = solo_outputs(scheme, r, 1.0)
         diag = scheme.step(r, 1.0)
@@ -282,12 +290,12 @@ class TestSchemeA:
         filters = [_jidf(6, 3, 2, 0.01, 0.05) for _ in range(4)]
         for f in filters:
             f.w_bar[:] = 0
-        scheme = SchemeA(filters, mu_a=0.25, mu_b=0.25, mu_c=0.25)
+        scheme = SchemeA(filters, [0.25, 0.25, 0.25])
         assert_array_equal(scheme.equivalent(), np.zeros(6))
 
     def test_requires_four_filters(self):
         with pytest.raises(ValueError):
-            SchemeA([_jidf(8, 3, 2, 0.01, 0.05)] * 2, mu_a=0.1, mu_b=0.1, mu_c=0.1)
+            SchemeA([_jidf(8, 3, 2, 0.01, 0.05)] * 2, [0.1, 0.1, 0.1])
 
 
 class TestClms:
@@ -297,7 +305,7 @@ class TestClms:
         w = _random_complex(rng, 6)
         f1.w = w.copy()
         f2.w = w.copy()
-        scheme = Clms([f1, f2], mu_a=0.25)
+        scheme = Clms([f1, f2], [0.25])
         r = _random_complex(rng, 6)
         outputs = solo_outputs(scheme, r, 1.0)
         diag = scheme.step(r, 1.0)
@@ -310,7 +318,7 @@ class TestClms:
         f1, f2 = FullRankLms(6, 0.05), FullRankLms(6, 0.05)
         f1.w = _random_complex(rng, 6)
         f2.w = _random_complex(rng, 6)
-        scheme = Clms([f1, f2], mu_a=0.25)
+        scheme = Clms([f1, f2], [0.25])
         (node,) = scheme.combiners
         node.u = node.u_max
         r = _random_complex(rng, 6)
@@ -323,7 +331,7 @@ class TestClms:
     def test_equivalent_filter_identity(self):
         rng = np.random.default_rng(13)
         f1, f2 = FullRankLms(6, 0.08), FullRankLms(6, 0.01)
-        scheme = Clms([f1, f2], mu_a=0.25)
+        scheme = Clms([f1, f2], [0.25])
         for _ in range(100):
             r = _random_complex(rng, 6)
             d = complex(*rng.standard_normal(2))
@@ -333,7 +341,7 @@ class TestClms:
 
     def test_standalone_equivalent_filter_predicts(self):
         rng = np.random.default_rng(16)
-        scheme = Clms([FullRankLms(6, 0.08), FullRankLms(6, 0.01)], mu_a=0.25)
+        scheme = Clms([FullRankLms(6, 0.08), FullRankLms(6, 0.01)], [0.25])
         for _ in range(20):
             scheme.step(_random_complex(rng, 6), complex(rng.standard_normal()))
         w_eq = scheme.equivalent()
@@ -347,7 +355,7 @@ class TestClms:
         rng = np.random.default_rng(14)
         m = 6
         plant = _random_complex(rng, m)
-        scheme = Clms([FullRankLms(m, 0.01), FullRankLms(m, 0.2)], mu_a=1.0)
+        scheme = Clms([FullRankLms(m, 0.01), FullRankLms(m, 0.2)], [1.0])
         n, tail = 4000, 1500
         e_comb, e_f1, e_f2 = [], [], []
         for i in range(n):
@@ -365,6 +373,18 @@ class TestClms:
         assert np.mean(e_comb) <= worst * 1.1
 
 
+class TestNodeStepSizes:
+    @pytest.mark.parametrize("tree,n_filters", [(Clms, 2), (SchemeB, 2), (SchemeA, 4)])
+    def test_one_step_size_per_node(self, tree, n_filters):
+        filters = [FullRankLms(6, 0.05) for _ in range(n_filters)]
+        n_nodes = n_filters - 1
+        scheme = tree(filters, [0.1 * (k + 1) for k in range(n_nodes)])
+        assert [c.mu for c in scheme.combiners] == [0.1 * (k + 1) for k in range(n_nodes)]
+        for mus in ([0.25] * (n_nodes - 1), [0.25] * (n_nodes + 1)):
+            with pytest.raises(ValueError, match="node step sizes"):
+                tree(filters, mus)
+
+
 class TestMixingBounds:
     def test_mixings_stay_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(15)
@@ -372,7 +392,7 @@ class TestMixingBounds:
             _randomize(_jidf(8, 3, 2, 0.02, 0.1), rng),
             _randomize(_jidf(8, 4, 3, 0.01, 0.01), rng),
         ]
-        scheme = SchemeB(filters, mu_c=5.0)  # aggressive combiner on purpose
+        scheme = SchemeB(filters, [5.0])  # aggressive combiner on purpose
         lo, hi = sigmoid(-4.0), sigmoid(4.0)
         for _ in range(500):
             r = _random_complex(rng, 8)
@@ -433,7 +453,7 @@ class TestConstituentSteps:
         u_max = data.draw(st.floats(0.5, U_MAX_LIMIT), label="u_max")
         mus = [float(rng.uniform(0, 2)) for _ in tree]
         scheme = {"clms": Clms, "scheme_b": SchemeB, "scheme_a": SchemeA}[kind](
-            filters, *mus, u_max=u_max
+            filters, mus, u_max=u_max
         )
         nodes = scheme.combiners
         for c in nodes:
@@ -515,9 +535,9 @@ class TestDecisionDirectedStep:
             mus = [float(rng.uniform(0, 2)) for _ in _TREES.get(kind, ())]
             scheme = {
                 "fullrank": lambda: filters[0], "jidf": lambda: filters[0],
-                "clms": lambda: Clms(filters, *mus),
-                "scheme_b": lambda: SchemeB(filters, *mus),
-                "scheme_a": lambda: SchemeA(filters, *mus),
+                "clms": lambda: Clms(filters, mus),
+                "scheme_b": lambda: SchemeB(filters, mus),
+                "scheme_a": lambda: SchemeA(filters, mus),
             }[kind]()
         for c in getattr(scheme, "combiners", []):
             c.u = float(rng.uniform(-c.u_max, c.u_max))

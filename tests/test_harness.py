@@ -6,6 +6,7 @@ import dataclasses
 import math
 import multiprocessing
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +20,7 @@ from numpy.testing import assert_array_equal
 
 from rrfilt import filters, harness
 from rrfilt.cdma import CdmaConfig
-from rrfilt.combiners import Diverged, SchemeA, SchemeB
+from rrfilt.combiners import SchemeA, SchemeB
 from rrfilt.filters import JidfFilter
 from rrfilt.harness import (
     BranchParams,
@@ -406,8 +407,9 @@ class TestRunExperiment:
         assert np.all(np.isfinite(rec_good.per_run_ber))
 
     def test_blown_up_scheme_counts_as_diverged(self, monkeypatch):
-        # at this seed one run trips the mixing node's finiteness guard
-        # (Diverged) and two fail the harness's own finiteness check
+        # the constituents blow up; the mixing node skips its update on the
+        # non-finite values and passes them on, so each run ends at the
+        # harness's one divergence rule: a non-finite output or error
         monkeypatch.setenv("RRFILT_THREADS", "1")
         wild = BranchParams(mu=50.0, rank=2, interp_len=2, eta=50.0)
         cfg = tiny_config("scheme_b", branches=[wild, wild], n_symbols=400)
@@ -419,17 +421,15 @@ class TestRunExperiment:
         "scheme,owner", [("jidf", JidfFilter), ("scheme_b", SchemeB)]
     )
     def test_programming_errors_propagate(self, scheme, owner, monkeypatch):
-        # only the Diverged signal marks a run as diverged; any other
-        # ValueError raised by a step is a bug and must not vanish from
-        # the averages
+        # a run diverges only on a non-finite output or error; a ValueError
+        # raised by a step is a bug and must not vanish from the averages
         def broken_step(self, r, d):
             raise ValueError("shape bug")
 
         monkeypatch.setattr(owner, "step", broken_step)
         monkeypatch.setenv("RRFILT_THREADS", "1")
-        with pytest.raises(ValueError, match="shape bug") as info:
+        with pytest.raises(ValueError, match="shape bug"):
             run_experiment(tiny_config(scheme))
-        assert not isinstance(info.value, Diverged)
 
     @pytest.mark.parametrize(
         "scheme,mode,per_symbol", [("scheme_b", "semi", 2), ("scheme_a", "supervised", 4)]
@@ -851,6 +851,34 @@ class TestCliRejectsBadValues:
         )
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: scheme 'mmse': window length")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scheme", ["mmse", "fullrank"])
+    def test_window_past_memory_fails_cleanly(self, tmp_path, scheme):
+        # 2**40 chips fit an array index but not a 3 GB address space: the
+        # full-rank filter fails to allocate in validate, the MMSE oracle's
+        # run in generate_signatures; the limit applies to the child only
+        data = {"scheme": scheme, "n_symbols": 5, "n_runs": 1, "cdma": {"chips": 2**40}}
+        if scheme == "fullrank":
+            data["branches"] = [{"mu": 0.05}]
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(yaml.safe_dump(data))
+        out = tmp_path / "o.csv"
+        path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p),
+                   RRFILT_THREADS="1", OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        soft = 3 * 10**9 if hard == resource.RLIM_INFINITY else min(3 * 10**9, hard)
+        proc = subprocess.run(
+            [sys.executable, "-m", "rrfilt", "run", "--config", str(cfg), "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (soft, hard)),
+        )
+        assert proc.returncode == 1, proc.stderr
+        # the filter is built in validate, which names the scheme
+        prefix = "error: scheme 'fullrank': " if scheme == "fullrank" else "error: "
+        assert proc.stderr.startswith(prefix), proc.stderr
+        assert "Traceback" not in proc.stderr
         assert not out.exists()
 
 
