@@ -197,23 +197,21 @@ class ClarkeChannel:
             angles = (np.arange(N_OSCILLATORS) + rng.random()) * (np.pi / N_OSCILLATORS)
             self._omegas[p] = 2.0 * np.pi * self.doppler * np.cos(angles)
             self._phases[p] = rng.uniform(0.0, 2.0 * np.pi, N_OSCILLATORS)
-        self._t = 0
 
     def path_gain_series(self, path: int, n_symbols: int) -> np.ndarray:
-        """Gains of one active path for the next ``n_symbols`` symbols
-        (does not advance the channel clock)."""
-        t = np.arange(self._t, self._t + n_symbols, dtype=np.float64)
+        """Gains of one active path at symbols ``0 .. n_symbols - 1``."""
+        t = np.arange(n_symbols, dtype=np.float64)
         osc = np.exp(1j * (np.outer(t, self._omegas[path]) + self._phases[path]))
         scale = np.sqrt(self.path_powers[path] / N_OSCILLATORS)
         return scale * osc.sum(axis=1)
 
     def run(self, n_symbols: int) -> np.ndarray:
-        """Advance ``n_symbols`` symbols; returns ``(n_symbols, n_paths)``
-        tap gains (coinciding paths accumulate on their tap)."""
+        """Tap gains at symbols ``0 .. n_symbols - 1``, ``(n_symbols, n_paths)``
+        (coinciding paths accumulate on their tap); every call gives the same
+        series."""
         gains = np.zeros((n_symbols, self.n_paths), dtype=np.complex128)
         for p, pos in enumerate(self.positions):
             gains[:, pos] += self.path_gain_series(p, n_symbols)
-        self._t += n_symbols
         return gains
 
 
@@ -230,20 +228,10 @@ _QPSK_POINTS = tuple(
 )
 
 
-def detect_qpsk(y):
-    """Quadrant slicer onto the QPSK constellation; zeros break toward +1.
-
-    A Python or numpy complex scalar takes a table lookup; anything else goes
-    through the array path.  Both return the same values, NaN components
-    slicing toward -1.
-    """
-    if isinstance(y, complex):
-        return _QPSK_POINTS[(y.real >= 0.0) + 2 * (y.imag >= 0.0)]
-    y = np.asarray(y)
-    re = np.where(y.real >= 0.0, 1.0, -1.0)
-    im = np.where(y.imag >= 0.0, 1.0, -1.0)
-    out = (re + 1j * im) / SQRT2
-    return complex(out) if out.ndim == 0 else out
+def detect_qpsk(y: complex) -> complex:
+    """Quadrant slicer of one complex value onto the QPSK constellation, by
+    table lookup; zeros break toward +1, NaN components toward -1."""
+    return _QPSK_POINTS[(y.real >= 0.0) + 2 * (y.imag >= 0.0)]
 
 
 def generate_received(
@@ -329,13 +317,20 @@ def _noiseless_planes(cfg: CdmaConfig, sigs, gains, b) -> tuple[np.ndarray, np.n
 
 
 class MmseReceiver:
-    """Clairvoyant linear MMSE receiver for user 0.
+    """Clairvoyant linear MMSE receiver for user 0, as a scheme.
 
-    Knows every signature, every amplitude and the noise variance; given a
-    channel snapshot it solves the normal equations whose covariance sums
-    the current, previous and next symbol windows of every user (the exact
-    interference structure of :func:`generate_received`) plus the noise
-    floor.  Recompute per symbol while the channel fades.
+    Knows every signature, every amplitude and the noise variance, and is
+    bound to one run's channel gains (``(n_symbols, n_paths)``, one snapshot
+    per symbol).  :meth:`filter_for` solves the normal equations of one
+    snapshot, whose covariance sums the current, previous and next symbol
+    windows of every user (the exact interference structure of
+    :func:`generate_received`) plus the noise floor.
+
+    It speaks the adaptive schemes' protocol (:mod:`rrfilt.filters`) without
+    adapting: ``equivalent()`` is the MMSE filter of the current symbol's
+    snapshot, so ``equivalent()^H r == predict(r)``, and ``step(r, d)``
+    filters ``r`` with it (one solve), applies ``d`` to the output if it is a
+    decision function, and moves on to the next symbol.
 
     The convolution matrices are kept complex and stacked into one
     ``(3 * n_users * window_len, n_paths)`` array, so a snapshot costs one
@@ -346,7 +341,7 @@ class MmseReceiver:
 
     _SHIFTS = (-1, 0, 1)
 
-    def __init__(self, cfg: CdmaConfig, signatures: np.ndarray):
+    def __init__(self, cfg: CdmaConfig, signatures: np.ndarray, gains, noise_var: float):
         sigs = np.asarray(signatures, dtype=np.float64)
         if sigs.shape != (cfg.n_users, cfg.n_chips):
             raise ValueError("signatures shape does not match the configuration")
@@ -359,6 +354,10 @@ class MmseReceiver:
         self._stack = np.concatenate(mats).astype(np.complex128)
         self._eff_shape = (len(mats), cfg.window_len)
         self._weights = np.asarray(weights)
+        self.gains = np.asarray(gains, dtype=np.complex128)
+        self.noise_var = float(noise_var)
+        self.num_taps = cfg.window_len
+        self.symbol = 0  # row of ``gains`` that the next step filters with
 
     def filter_for(self, channel_gains, noise_var: float) -> np.ndarray:
         """MMSE filter for one channel snapshot (length ``n_paths`` gains)."""
@@ -382,29 +381,9 @@ class MmseReceiver:
             )
             return np.linalg.pinv(cov) @ steering
 
-
-class MmseOracle:
-    """The clairvoyant MMSE receiver as a scheme: bound to one run's channel
-    gains (``(n_symbols, n_paths)``, one snapshot per symbol) and one noise
-    variance, it speaks the adaptive schemes' protocol
-    (:mod:`rrfilt.filters`) without adapting.
-
-    ``equivalent()`` is the MMSE filter of the current symbol's snapshot, so
-    ``equivalent()^H r == predict(r)``.  ``step(r, d)`` filters ``r`` with
-    it (one :meth:`MmseReceiver.filter_for` solve), applies ``d`` to the
-    output if it is a decision function, and moves on to the next symbol.
-    """
-
-    def __init__(self, receiver: MmseReceiver, gains, noise_var: float):
-        self.receiver = receiver
-        self.gains = np.asarray(gains, dtype=np.complex128)
-        self.noise_var = float(noise_var)
-        self.num_taps = receiver.cfg.window_len
-        self.symbol = 0  # row of ``gains`` that the next step filters with
-
     def equivalent(self) -> np.ndarray:
         """The current symbol's MMSE filter."""
-        return self.receiver.filter_for(self.gains[self.symbol], self.noise_var)
+        return self.filter_for(self.gains[self.symbol], self.noise_var)
 
     def predict(self, r) -> complex:
         """Output of the current symbol's filter for ``r``; does not advance."""

@@ -186,12 +186,6 @@ class JidfFilter:
         self.w_bar = np.zeros(self.rank, dtype=np.complex128)
         self.last_b_opt = 0
 
-    def regressor(self, r) -> np.ndarray:
-        """Hankel regressor of the window ``r`` at this filter's sizes
-        (``build_hankel`` checks that ``r`` holds exactly ``num_taps``
-        samples)."""
-        return build_hankel(r, self.num_taps, self.interp_len)
-
     def predict(self, r) -> complex:
         """Output for ``r`` using the last selected branch, no adaptation."""
         return self._predict(self._input(r))
@@ -219,8 +213,10 @@ class JidfFilter:
 
     def _input(self, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(hankel, conj(v), conj(w_bar))`` of the window ``r``, taken
-        from the pre-update coefficients."""
-        return self.regressor(r), np.conj(self.v), np.conj(self.w_bar)
+        from the pre-update coefficients (``build_hankel`` checks that ``r``
+        holds exactly ``num_taps`` samples)."""
+        hankel = build_hankel(r, self.num_taps, self.interp_len)
+        return hankel, np.conj(self.v), np.conj(self.w_bar)
 
     def _predict(self, x) -> complex:
         # rows gathered before the product: _forward's order (product, then
@@ -242,17 +238,11 @@ class JidfFilter:
         y_all = np.dot(r_bars, cw)
         e_all = complex(d) - y_all
         b = int((np.abs(e_all) ** 2).argmin())
-        return _JidfForward(
-            y_all.item(b), e_all.item(b), b, r_bars[b],
-            self._interp_regressor(hankel, b, cw),
-        )
+        u = np.dot(hankel.take(self.patterns[b], 0).T, cw)  # interpolator regressor
+        return _JidfForward(y_all.item(b), e_all.item(b), b, r_bars[b], u)
 
     def _commit(self, fwd: _JidfForward) -> None:
         ce = fwd.e.conjugate()
         self.v = self.v + self.eta * ce * fwd.u
         self.w_bar = self.w_bar + self.mu * ce * fwd.r_bar
         self.last_b_opt = fwd.b_opt
-
-    def _interp_regressor(self, hankel, branch: int, cw) -> np.ndarray:
-        # cw is conj(w_bar); hankel and branch are already checked
-        return np.dot(hankel.take(self.patterns[branch], 0).T, cw)

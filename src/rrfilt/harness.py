@@ -19,7 +19,7 @@ index order.  Supported schemes:
 ``mmse``        clairvoyant MMSE filter recomputed every symbol
 ==============  ==============================================================
 
-Every scheme, the non-adaptive MMSE oracle included, is built by one
+Every scheme, the non-adaptive MMSE receiver included, is built by one
 builder and runs through the same ``step(r, d)`` call.
 
 Training is supervised by default (the desired response is the true symbol
@@ -56,7 +56,6 @@ import yaml
 from .cdma import (
     CdmaConfig,
     ClarkeChannel,
-    MmseOracle,
     MmseReceiver,
     detect_qpsk,
     generate_received,
@@ -143,8 +142,8 @@ class ExperimentConfig:
             raise ConfigError("train_mode must be 'supervised' or 'semi'")
         if self.train_mode == "semi" and self.train_symbols < 0:
             raise ConfigError("train_symbols must be >= 0")
-        # every scheme's window must fit an array index: the MMSE oracle
-        # builds nothing here
+        # every scheme's window must fit an array index: the MMSE receiver
+        # is not built here
         window_len = self.cdma.window_len
         if window_len > sys.maxsize:
             raise ConfigError(
@@ -218,10 +217,10 @@ class ExperimentRecord:
 
 # config key -> conversion; absent keys take the dataclass defaults
 _TOP_SCALARS = {
-    "n_symbols": int, "n_runs": int, "seed": int, "train_mode": str,
+    "scheme": str, "n_symbols": int, "n_runs": int, "seed": int, "train_mode": str,
     "train_symbols": int, "n_branches": int, "u_max": float,
 }
-_TOP_KEYS = {"scheme", "cdma", "branches", "combiners", "out", *_TOP_SCALARS}
+_TOP_KEYS = {"cdma", "branches", "combiners", "out", *_TOP_SCALARS}
 # cdma key -> (CdmaConfig field, conversion); a null value counts as absent
 _CDMA_KEYS = {
     "users": ("n_users", int),
@@ -246,13 +245,14 @@ def _reject_unknown(mapping: dict, allowed, where: str) -> None:
 def _convert(kind, value, key: str):
     """``kind(value)`` for the config value at ``key``; a value that does not
     convert exactly raises a :class:`ConfigError` naming the key.  ``(kind,)``
-    converts a list entry by entry.  Numbers refuse booleans, and integers
-    refuse non-integral floats, which ``int`` would truncate."""
+    converts a list entry by entry.  Strings take only strings, numbers
+    refuse booleans, and integers refuse non-integral floats, which ``int``
+    would truncate."""
     if isinstance(kind, tuple):
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{key} must be a list, got {value!r}")
         return tuple(_convert(kind[0], v, f"{key}[{i}]") for i, v in enumerate(value))
-    bad = kind is not str and isinstance(value, bool)
+    bad = not isinstance(value, str) if kind is str else isinstance(value, bool)
     try:
         converted = kind(value)
         if kind is int and isinstance(value, float) and converted != value:
@@ -315,11 +315,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     })
 
     cfg = ExperimentConfig(
-        scheme=str(data["scheme"]),
         cdma=cdma,
         branches=branches,
         combiners=combiners,
-        out=None if data.get("out") is None else str(data["out"]),
+        out=None if data.get("out") is None else _convert(str, data["out"], "out"),
         **{k: _convert(kind, data[k], k) for k, kind in _TOP_SCALARS.items() if k in data},
     )
     cfg.validate()
@@ -409,10 +408,10 @@ def _record_complexity(cfg: ExperimentConfig) -> tuple[int, int] | None:
 def _build_scheme(cfg: ExperimentConfig, signatures=None, gains=None, noise_var=None):
     """A fresh instance of the configured scheme: one filter, a mixing tree
     whose nodes take the step sizes of their slots (``mu_a``, ``mu_b``,
-    ``mu_c``), or the MMSE oracle bound to one run's signatures and channel
-    gains and one noise variance (only the oracle reads those three)."""
+    ``mu_c``), or the MMSE receiver bound to one run's signatures and channel
+    gains and one noise variance (only the receiver reads those three)."""
     if cfg.scheme == "mmse":
-        return MmseOracle(MmseReceiver(cfg.cdma, signatures), gains, noise_var)
+        return MmseReceiver(cfg.cdma, signatures, gains, noise_var)
     m = cfg.cdma.window_len
     spec = _SCHEMES[cfg.scheme]
     if spec.reduced_rank:
@@ -743,7 +742,7 @@ def _cmd_complexity(args) -> None:
     cfg = _cli_config(args)
     counts = _record_complexity(cfg)
     if counts is None:
-        raise ConfigError("the MMSE oracle has no adaptation complexity formula")
+        raise ConfigError("the MMSE receiver has no adaptation complexity formula")
     print("scheme,additions,multiplications")
     print(f"{cfg.scheme},{counts[0]},{counts[1]}")
 

@@ -11,7 +11,6 @@ from numpy.testing import assert_array_equal
 from rrfilt.cdma import (
     CdmaConfig,
     ClarkeChannel,
-    MmseOracle,
     MmseReceiver,
     detect_qpsk,
     generate_signatures,
@@ -489,16 +488,16 @@ class TestConstituentSteps:
             assert all(0.0 < c.mixing < 1.0 for c in nodes)
 
 
-def _draw_oracle(data, rng) -> MmseOracle:
-    """An MMSE oracle over a small drawn downlink, bound to a few fading
+def _draw_oracle(data, rng) -> MmseReceiver:
+    """An MMSE receiver over a small drawn downlink, bound to a few fading
     channel snapshots and a noise variance."""
     n_chips = data.draw(st.integers(1, 8), label="n_chips")
     n_users = data.draw(st.integers(1, min(3, 2**n_chips)), label="n_users")
     n_paths = data.draw(st.integers(1, 4), label="n_paths")
     cfg = CdmaConfig(n_users=n_users, n_chips=n_chips, n_paths=n_paths)
-    receiver = MmseReceiver(cfg, generate_signatures(n_users, n_chips, rng))
+    signatures = generate_signatures(n_users, n_chips, rng)
     gains = ClarkeChannel(n_paths, 0.01, rng).run(4)
-    return MmseOracle(receiver, gains, float(rng.uniform(0.1, 2.0)))
+    return MmseReceiver(cfg, signatures, gains, float(rng.uniform(0.1, 2.0)))
 
 
 def _state(scheme) -> tuple:
@@ -507,7 +506,7 @@ def _state(scheme) -> tuple:
     leaves = tuple(
         (f.w.tobytes(),) if isinstance(f, FullRankLms)
         else (f.v.tobytes(), f.w_bar.tobytes(), f.last_b_opt) if isinstance(f, JidfFilter)
-        else (f.symbol,)  # the MMSE oracle's position in its run
+        else (f.symbol,)  # the MMSE receiver's position in its run
         for f in filters
     )
     return leaves, tuple(repr(c.u) for c in getattr(scheme, "combiners", []))
@@ -515,7 +514,7 @@ def _state(scheme) -> tuple:
 
 class TestDecisionDirectedStep:
     """``step(r, decide)`` must be ``step(r, decide(predict(r)))`` bit for bit
-    for every scheme, the MMSE oracle included: the decision is taken on the
+    for every scheme, the MMSE receiver included: the decision is taken on the
     pre-update prediction (a tree's mix of its constituents' predictions),
     once, and every constituent adapts toward it.  The prediction must also
     be ``equivalent()^H r``, to 1e-10 relative."""

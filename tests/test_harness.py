@@ -779,6 +779,17 @@ class TestCliRejectsBadValues:
         assert capsys.readouterr().err.startswith(f"error: {key} must be ")
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("value", [{"a": 1}, ["x.csv"], 2024, True],
+                             ids=["mapping", "list", "int", "bool"])
+    @pytest.mark.parametrize("key", ["scheme", "train_mode", "out"])
+    def test_string_keys_take_only_strings(self, tmp_path, capsys, monkeypatch, key, value):
+        # a non-string `out` used to become a file named after its str()
+        cfg = self._edited(tmp_path, lambda c: c.update({key: value}))
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {key} must be a string, got ")
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.yaml"]
+
     @pytest.mark.parametrize("threads", ["abc", "1.5", "-1"])
     def test_bad_thread_count_reported(self, tmp_path, capsys, monkeypatch, threads):
         monkeypatch.setenv("RRFILT_THREADS", threads)
