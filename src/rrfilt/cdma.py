@@ -261,7 +261,8 @@ def generate_received(
     block ``k`` is ``signal + sqrt(noise_vars[k] / 2) * noise`` per plane,
     every block from the one signal and the one noise draw, so each is bit
     for bit what a call with that variance alone would return from the same
-    generator state.
+    generator state.  The signal is built in block 0's planes, the blocks
+    after it are formed from them, and block 0 adds its own noise last.
     """
     sigs = np.asarray(signatures, dtype=np.float64)
     gains = np.asarray(path_gains, dtype=np.complex128)
@@ -274,40 +275,40 @@ def generate_received(
     if gains.shape != (n_symbols, cfg.n_paths):
         raise ValueError("path_gains must be (n_symbols, n_paths)")
 
-    signal_re, signal_im = _noiseless_planes(cfg, sigs, gains, b)
-    noise_re = rng.standard_normal(signal_re.shape)
-    noise_im = rng.standard_normal(signal_re.shape)
-    received = np.empty((len(noise_vars), *signal_re.shape), dtype=np.complex128)
-    for block, var in zip(received, noise_vars):
-        scale = np.sqrt(var / 2.0)
-        block.real = signal_re + scale * noise_re
-        block.imag = signal_im + scale * noise_im
+    shape = (n_symbols, cfg.window_len)
+    if len(noise_vars) == 0:  # no block to build in, but the same two draws
+        rng.standard_normal((2, *shape))
+        return np.empty((0, *shape), dtype=np.complex128)
+    received = np.zeros((len(noise_vars), *shape), dtype=np.complex128)
+    signal_re, signal_im = _noiseless_planes(cfg, sigs, gains, b, received[0])
+    noise_re = rng.standard_normal(shape)
+    noise_im = rng.standard_normal(shape)
+    for k in (*range(1, len(noise_vars)), 0):  # block 0's planes are the signal
+        scale = np.sqrt(noise_vars[k] / 2.0)
+        received[k].real = signal_re + scale * noise_re
+        received[k].imag = signal_im + scale * noise_im
     return received
 
 
-def _noiseless_planes(cfg: CdmaConfig, sigs, gains, b) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary planes of the noiseless windows (see
-    :func:`generate_received`, which checks the arguments).  A function of
-    its own so that the chip stream is freed before the noise and the
-    received blocks are allocated."""
-    n_symbols, n_chips, n_paths = b.shape[1], cfg.n_chips, cfg.n_paths
-    window_len = cfg.window_len
+def _noiseless_planes(
+    cfg: CdmaConfig, sigs, gains, b, block
+) -> tuple[np.ndarray, np.ndarray]:
+    """Accumulate the noiseless windows into the zeroed ``block`` and return
+    its real and imaginary planes (see :func:`generate_received`, which
+    checks the arguments).  A function of its own so that the chip stream is
+    freed before the noise is drawn."""
+    n_symbols, n_chips, pad = b.shape[1], cfg.n_chips, cfg.n_paths - 1
 
-    chips = np.zeros((n_symbols, n_chips), dtype=np.complex128)
+    stream = np.zeros(n_symbols * n_chips + 2 * pad, dtype=np.complex128)
+    chips = stream[pad : pad + n_symbols * n_chips].reshape(n_symbols, n_chips)
     for k in range(cfg.n_users):
         chips += (cfg.amplitudes[k] * b[k])[:, None] * sigs[k][None, :]
 
-    pad = n_paths - 1
-    stream = np.concatenate(
-        [np.zeros(pad, np.complex128), chips.ravel(), np.zeros(pad, np.complex128)]
-    )
-    windows = np.lib.stride_tricks.sliding_window_view(stream, window_len)
-    starts = n_chips * np.arange(n_symbols)
-    signal_re = np.zeros((n_symbols, window_len))
-    signal_im = np.zeros((n_symbols, window_len))
+    windows = np.lib.stride_tricks.sliding_window_view(stream, cfg.window_len)
+    signal_re, signal_im = block.real, block.imag
     for path in np.flatnonzero((gains != 0).any(axis=0)):
         g = gains[:, path][:, None]
-        w = windows[starts + pad - path]
+        w = windows[pad - path :: n_chips][:n_symbols]
         # split-plane product: the vectorized complex-multiply loop may fuse
         # operations and round differently from scalar arithmetic, which
         # would break the bit-level reproducibility promised above

@@ -41,6 +41,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import ctypes
 import dataclasses
 import math
 import os
@@ -523,6 +524,27 @@ def _worker_count(n_runs: int) -> int:
     return max(1, min(workers, n_runs))
 
 
+def _one_blas_thread() -> None:
+    """Pool initializer: set the OpenBLAS that numpy loaded to one thread.
+
+    A forked worker keeps numpy's OpenBLAS, already started with one thread
+    per CPU, so an environment variable set now would do nothing.  The
+    library's own setter is found through numpy's linear-algebra module,
+    whose symbol lookup reaches the BLAS it links.  Without one, nothing
+    changes."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except OSError:
+        return
+    for prefix in ("", "scipy_"):
+        for suffix in ("", "64_", "_64"):
+            setter = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                return
+
+
 def _monte_carlo(points: list[ExperimentConfig]) -> list[ExperimentRecord]:
     """Run and reduce every point of ``points``, configs that differ at most
     in ``cdma.snr_db``; one record per point, in order.
@@ -530,7 +552,8 @@ def _monte_carlo(points: list[ExperimentConfig]) -> list[ExperimentRecord]:
     Every point is validated before any work starts.  One work unit per run
     index runs that run at every point (:func:`_single_run`).  With more
     than one worker and more than one run, the units go to one process pool
-    for the whole call; otherwise they run in order in this process.  Each
+    for the whole call, whose workers run BLAS on one thread
+    (:func:`_one_blas_thread`); otherwise they run in order in this process.  Each
     point's runs are reduced in index order, so the records do not depend on
     the worker count, and each is bit for bit the record of that point alone.
     Every record's ``wall_time`` is the elapsed time of the whole call.
@@ -545,7 +568,7 @@ def _monte_carlo(points: list[ExperimentConfig]) -> list[ExperimentRecord]:
     n_runs = cfg.n_runs
     workers = _worker_count(n_runs)
     if workers > 1 and n_runs > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
             runs = list(
                 pool.map(_single_run, [cfg] * n_runs, [noise_vars] * n_runs, range(n_runs))
             )

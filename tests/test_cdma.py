@@ -1,6 +1,7 @@
 """Downlink signal model: signatures, channel, received windows, MMSE."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -248,6 +249,42 @@ class TestGenerateReceived:
             assert_array_equal(block, alone)
             # one draw serves every variance: the generator ends in one state
             assert alone_rng.standard_normal() == after
+
+    def test_no_variances_give_no_blocks_and_the_same_draws(self):
+        cfg = CdmaConfig(n_users=3, n_chips=8, n_paths=5, snr_db=12.0)
+        setup = np.random.default_rng(16)
+        sigs = generate_signatures(3, 8, setup)
+        gains = ClarkeChannel(5, 1e-3, setup).run(30)
+        symbols = qpsk_symbols(setup, 3, 30)
+        rng = np.random.default_rng(17)
+        received = generate_received(cfg, sigs, gains, symbols, rng, ())
+        assert received.shape == (0, 30, cfg.window_len)
+        assert received.dtype == np.complex128
+        expected = np.random.default_rng(17)
+        expected.standard_normal((30, cfg.window_len))
+        expected.standard_normal((30, cfg.window_len))
+        assert rng.bit_generator.state == expected.bit_generator.state
+
+    def test_traced_peak_at_desk_dimensions(self):
+        # the windows are built in the returned block: no chip copy, no
+        # per-path window gather and no separate signal planes
+        cfg = CdmaConfig(
+            n_users=8, n_chips=32, n_paths=9, snr_db=15.0, doppler=5e-3,
+            amplitudes=(1.0,) + (0.35,) * 7,
+        )
+        setup = np.random.default_rng(20240)
+        sigs = generate_signatures(8, 32, setup)
+        gains = ClarkeChannel(9, 5e-3, setup).run(1500)
+        symbols = qpsk_symbols(setup, 8, 1500)
+        rng = np.random.default_rng(5)
+        tracemalloc.start()
+        try:
+            received = generate_received(cfg, sigs, gains, symbols, rng, (cfg.noise_variance,))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert received.shape == (1, 1500, cfg.window_len)
+        assert peak <= 3.5 * received[0].nbytes
 
     def test_linear_in_each_symbol(self):
         cfg = CdmaConfig(n_users=2, n_chips=8, n_paths=3, snr_db=np.inf)

@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import ctypes
 import dataclasses
 import math
 import multiprocessing
@@ -9,6 +10,7 @@ import os
 import resource
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -499,6 +501,23 @@ def _failing_unit(cfg, noise_vars, run_idx):
     raise RuntimeError("unit failed")
 
 
+def _blas_threads():
+    """Thread count of the OpenBLAS that numpy loaded, or None if its BLAS
+    exports no OpenBLAS getter."""
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for prefix in ("", "scipy_"):
+        for suffix in ("", "64_", "_64"):
+            getter = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+            if getter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return getter()
+    return None
+
+
+def _blas_threads_unit(cfg, noise_vars, run_idx):
+    return [_blas_threads()] * len(noise_vars)
+
+
 class TestMonteCarloEngine:
     SNRS = [6.0, 12.0, math.inf]
 
@@ -572,6 +591,19 @@ class TestMonteCarloEngine:
             run_experiment(tiny_config("jidf", n_runs=2))
         assert multiprocessing.active_children() == []
         assert pools == [2, 2, 2]
+
+    def test_pool_workers_run_blas_on_one_thread(self, monkeypatch, pools):
+        if _blas_threads() is None:
+            pytest.skip("numpy's BLAS is not an OpenBLAS with a thread getter")
+        monkeypatch.delenv("RRFILT_THREADS", raising=False)
+        monkeypatch.setattr(harness, "_single_run", _blas_threads_unit)
+        # each point's reduction receives the workers' thread counts
+        monkeypatch.setattr(
+            harness, "_reduce", lambda point, runs: types.SimpleNamespace(runs=runs)
+        )
+        (seen,) = harness._monte_carlo([tiny_config("jidf", n_runs=4)])
+        assert pools == [2]
+        assert seen.runs == [1] * 4
 
 
 class TestCsv:
