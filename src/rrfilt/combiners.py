@@ -19,7 +19,8 @@ toward the decision.  It then steps every constituent on its prepared
 input, each adapting with its own error, and mixes their pre-update outputs
 bottom-up; each node reads its mixing value, forms its output and then
 adapts with the error of that output.  Nodes and constituents share no
-state, so every quantity a step reports is a pre-update one.
+state, so every quantity a step reports is a pre-update one.  A tree's
+``ops`` sums its constituents' and adds ``NODE_OPS`` per node (CLMS only).
 """
 
 from __future__ import annotations
@@ -97,6 +98,8 @@ class MixTree:
     """
 
     NODES: tuple[tuple[int, int], ...] = ()
+    # real additions and multiplications each node adds to a step's count
+    NODE_OPS: tuple[int, int] = (0, 0)
 
     def __init__(self, filters: Sequence, mus: Sequence[float], u_max: float = 4.0):
         filters, mus = list(filters), list(mus)
@@ -115,6 +118,13 @@ class MixTree:
     @property
     def num_taps(self) -> int:
         return self.filters[0].num_taps
+
+    @property
+    def ops(self) -> tuple[int, int]:
+        """Real additions and multiplications per step: the constituents'
+        ``ops`` summed, plus ``NODE_OPS`` for each node."""
+        counts = [f.ops for f in self.filters] + [self.NODE_OPS] * len(self.NODES)
+        return sum(c[0] for c in counts), sum(c[1] for c in counts)
 
     def predict(self, r) -> complex:
         return self._mix([f.predict(r) for f in self.filters])
@@ -184,5 +194,9 @@ class Clms(MixTree):
     one accurate) through node ``a``."""
 
     NODES = ((0, 1),)
+    # CLMS counts its one mixing node, as its source does (Arenas-Garcia,
+    # Figueiras-Vidal and Sayed, IEEE TSP 54(3), 2006); schemes A and B count
+    # their constituents only, and counting their nodes would change records.
+    NODE_OPS = (5, 4)
     step = MixTree.step
     predict = MixTree.predict

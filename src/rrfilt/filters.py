@@ -15,10 +15,11 @@ selection, and a short filter (the JIDF structure).  Shared conventions:
 Each filter, like every mixing tree of them (:mod:`rrfilt.combiners`), can
 ``step`` (returning a :class:`StepResult`), ``predict`` without adapting,
 and give its ``equivalent()`` window-length filter, which satisfies
-``equivalent()^H r == predict(r)``.  ``step(r, d)`` takes the desired
-response ``d`` or a decision function in its place: the function is applied
-to the pre-update output ``predict(r)`` and the step adapts toward its
-result (decision-directed operation).
+``equivalent()^H r == predict(r)``, and its ``ops``, the closed-form real
+additions and multiplications of one step.  ``step(r, d)`` takes the
+desired response ``d`` or a decision function in its place: the function is
+applied to the pre-update output ``predict(r)`` and the step adapts toward
+its result (decision-directed operation).
 
 A filter prepares its per-symbol input once: ``_input(r)`` is the checked
 window for full-tap LMS and, for JIDF, the Hankel regressor with the
@@ -106,6 +107,11 @@ class FullRankLms:
     def equivalent(self) -> np.ndarray:
         """The coefficients themselves: ``equivalent()^H r == predict(r)``."""
         return self.w
+
+    @property
+    def ops(self) -> tuple[int, int]:
+        """Real additions and multiplications per step: ``(2M, 2M + 1)``."""
+        return 2 * self.num_taps, 2 * self.num_taps + 1
 
     # -- internals: x is the prepared input of ``_input`` -------------------
 
@@ -205,6 +211,14 @@ class JidfFilter:
         scattered = np.zeros(self.num_taps, dtype=np.complex128)
         scattered[self.patterns[self.last_b_opt]] = self.w_bar
         return np.convolve(scattered, self.v)[: self.num_taps]
+
+    @property
+    def ops(self) -> tuple[int, int]:
+        """Real additions and multiplications per step, with window length
+        ``M``, interpolator length ``I``, rank ``D`` and ``B`` branches:
+        ``(M (I - 1) + (B + 1) D + 2 I, M I + (B + 2) D)``."""
+        m, i, d, b = self.num_taps, self.interp_len, self.rank, self.n_branches
+        return m * (i - 1) + (b + 1) * d + 2 * i, m * i + (b + 2) * d
 
     # -- internals: x is the prepared input of ``_input`` -------------------
     # np.dot rather than @, take(rows, 0) rather than hankel[rows], item()

@@ -20,7 +20,9 @@ index order.  Supported schemes:
 ==============  ==============================================================
 
 Every scheme, the non-adaptive MMSE receiver included, is built by one
-builder and runs through the same ``step(r, d)`` call.
+builder and runs through the same ``step(r, d)`` call.  Each scheme is its
+row of ``_SCHEMES`` (filter class, mixing tree, record slot of each node),
+and the built scheme counts its own operations (``ops``).
 
 Training is supervised by default (the desired response is the true symbol
 for the whole packet; errors are still counted on the slicer decisions).
@@ -68,8 +70,7 @@ from .filters import FullRankLms, JidfFilter
 
 
 class _Scheme(NamedTuple):
-    constituents: int
-    reduced_rank: bool
+    leaf: type | None  # constituent filter class; None for the MMSE receiver
     tree: type | None = None  # mixing tree over the constituents, if any
     # record slot of each of the tree's nodes, in node order: 0, 1, 2 are the
     # lambda_a, lambda_b, lambda_c columns and the mu_a, mu_b, mu_c steps
@@ -77,12 +78,12 @@ class _Scheme(NamedTuple):
 
 
 _SCHEMES = {
-    "fullrank": _Scheme(1, False),
-    "clms": _Scheme(2, False, Clms, (0,)),
-    "jidf": _Scheme(1, True),
-    "scheme_a": _Scheme(4, True, SchemeA, (0, 1, 2)),
-    "scheme_b": _Scheme(2, True, SchemeB, (2,)),
-    "mmse": _Scheme(0, False),
+    "fullrank": _Scheme(FullRankLms),
+    "clms": _Scheme(FullRankLms, Clms, (0,)),
+    "jidf": _Scheme(JidfFilter),
+    "scheme_a": _Scheme(JidfFilter, SchemeA, (0, 1, 2)),
+    "scheme_b": _Scheme(JidfFilter, SchemeB, (2,)),
+    "mmse": _Scheme(None),
 }
 SCHEMES = tuple(_SCHEMES)
 
@@ -164,17 +165,20 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         spec = _SCHEMES[self.scheme]
-        if len(self.branches) != spec.constituents:
+        n_nodes = len(spec.tree.NODES) if spec.tree else 0
+        n_filters = 0 if spec.leaf is None else n_nodes + 1
+        if len(self.branches) != n_filters:
             raise ConfigError(
-                f"scheme {self.scheme!r} needs exactly {spec.constituents} branch "
+                f"scheme {self.scheme!r} needs exactly {n_filters} branch "
                 f"entries, got {len(self.branches)}"
             )
-        takes = "rank, interp_len, eta and mu" if spec.reduced_rank else "only mu"
+        reduced_rank = spec.leaf is JidfFilter
+        takes = "rank, interp_len, eta and mu" if reduced_rank else "only mu"
         for i, b in enumerate(self.branches):
             # rank, interp_len and eta are given exactly for reduced-rank filters
-            if [v is not None for v in (b.rank, b.interp_len, b.eta)] != [spec.reduced_rank] * 3:
+            if [v is not None for v in (b.rank, b.interp_len, b.eta)] != [reduced_rank] * 3:
                 raise ConfigError(f"branch {i}: scheme {self.scheme!r} constituents take {takes}")
-        if spec.constituents:
+        if n_filters:
             try:
                 _build_scheme(self)
             # overflow: sizes past any index; memory: sizes past this machine
@@ -342,66 +346,6 @@ def load_config(path) -> ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# complexity formulas
-# ---------------------------------------------------------------------------
-
-
-def complexity_report(
-    num_taps: int,
-    interp_lens=(),
-    ranks=(),
-    n_branches: int = 1,
-    scheme: str = "jidf",
-) -> tuple[int, int]:
-    """Per-symbol real additions and multiplications of a scheme.
-
-    Closed forms with window length ``M``, interpolator lengths ``I_j``,
-    reduced ranks ``D_j`` and ``B`` decimation branches:
-
-    * ``fullrank``: ``2M`` additions, ``2M + 1`` multiplications,
-    * ``clms``: ``4M + 5`` additions, ``4M + 6`` multiplications,
-    * reduced-rank constituent ``j``: ``M (I_j - 1) + (B + 1) D_j + 2 I_j``
-      additions and ``M I_j + (B + 2) D_j`` multiplications; ``jidf``,
-      ``scheme_b`` and ``scheme_a`` sum 1, 2 and 4 constituents.
-    """
-    if num_taps < 1:
-        raise ValueError("num_taps must be >= 1")
-    m = int(num_taps)
-    if scheme == "fullrank":
-        return 2 * m, 2 * m + 1
-    if scheme == "clms":
-        return 4 * m + 5, 4 * m + 6
-    spec = _SCHEMES.get(scheme)
-    if spec is not None and spec.reduced_rank:
-        interp_lens = [int(i) for i in interp_lens]
-        ranks = [int(d) for d in ranks]
-        expected = spec.constituents
-        if len(interp_lens) != expected or len(ranks) != expected:
-            raise ValueError(
-                f"scheme {scheme!r} needs {expected} interpolator lengths and ranks"
-            )
-        if min(interp_lens) < 1 or min(ranks) < 1 or n_branches < 1:
-            raise ValueError("interpolator lengths, ranks and n_branches must be >= 1")
-        b = int(n_branches)
-        adds = sum(m * (i - 1) + (b + 1) * d + 2 * i for i, d in zip(interp_lens, ranks))
-        mults = sum(m * i + (b + 2) * d for i, d in zip(interp_lens, ranks))
-        return adds, mults
-    raise ValueError(f"no complexity formula for scheme {scheme!r}")
-
-
-def _record_complexity(cfg: ExperimentConfig) -> tuple[int, int] | None:
-    if cfg.scheme == "mmse":
-        return None
-    return complexity_report(
-        cfg.cdma.window_len,
-        [b.interp_len for b in cfg.branches],
-        [b.rank for b in cfg.branches],
-        cfg.n_branches,
-        cfg.scheme,
-    )
-
-
-# ---------------------------------------------------------------------------
 # single Monte-Carlo run
 # ---------------------------------------------------------------------------
 
@@ -411,11 +355,11 @@ def _build_scheme(cfg: ExperimentConfig, signatures=None, gains=None, noise_var=
     whose nodes take the step sizes of their slots (``mu_a``, ``mu_b``,
     ``mu_c``), or the MMSE receiver bound to one run's signatures and channel
     gains and one noise variance (only the receiver reads those three)."""
-    if cfg.scheme == "mmse":
+    spec = _SCHEMES[cfg.scheme]
+    if spec.leaf is None:
         return MmseReceiver(cfg.cdma, signatures, gains, noise_var)
     m = cfg.cdma.window_len
-    spec = _SCHEMES[cfg.scheme]
-    if spec.reduced_rank:
+    if spec.leaf is JidfFilter:
         filters = [
             JidfFilter(m, b.interp_len, b.rank, cfg.n_branches, b.eta, b.mu)
             for b in cfg.branches
@@ -426,6 +370,15 @@ def _build_scheme(cfg: ExperimentConfig, signatures=None, gains=None, noise_var=
         return filters[0]
     steps = (cfg.combiners.mu_a, cfg.combiners.mu_b, cfg.combiners.mu_c)
     return spec.tree(filters, [steps[s] for s in spec.slots], u_max=cfg.u_max)
+
+
+def complexity_report(cfg: ExperimentConfig) -> tuple[int, int] | None:
+    """Per-symbol real additions and multiplications of the configured
+    scheme, as its filters count them (``ops``), or ``None`` for the MMSE
+    receiver, which does not adapt."""
+    if _SCHEMES[cfg.scheme].leaf is None:
+        return None
+    return _build_scheme(cfg).ops
 
 
 @dataclass
@@ -588,6 +541,7 @@ def _reduce(cfg: ExperimentConfig, runs: list[_RunResult]) -> ExperimentRecord:
     diverged = cfg.n_runs - len(good)
     n = cfg.n_symbols
     spec = _SCHEMES[cfg.scheme]
+    reduced_rank = spec.leaf is JidfFilter
 
     if good:
         err_counts = np.sum([r.errors for r in good], axis=0).astype(np.float64)
@@ -598,7 +552,7 @@ def _reduce(cfg: ExperimentConfig, runs: list[_RunResult]) -> ExperimentRecord:
         per_run = np.array(
             [r.errors.sum() / n if not r.diverged else np.nan for r in runs]
         )
-        if spec.reduced_rank:
+        if reduced_rank:
             stacked = np.stack([r.b_opt for r in good])  # (runs, n)
             counts = np.zeros((cfg.n_branches, n), dtype=np.int64)
             cols = np.broadcast_to(np.arange(n), stacked.shape)
@@ -631,11 +585,11 @@ def _reduce(cfg: ExperimentConfig, runs: list[_RunResult]) -> ExperimentRecord:
         lambda_b=lambda_b,
         lambda_c=lambda_c,
         b_opt_mode=mode,
-        branch_hist=hist if spec.reduced_rank else None,
+        branch_hist=hist if reduced_rank else None,
         per_run_ber=per_run,
         final_ber=float(cumulative[-1]) if n else float("nan"),
         wall_time=math.nan,
-        complexity=_record_complexity(cfg),
+        complexity=complexity_report(cfg),
     )
 
 
@@ -706,7 +660,10 @@ def write_csv(record: ExperimentRecord, path) -> None:
 
 
 def write_sweep_csv(snr_list, records, path) -> None:
-    """One row per SNR point: final BER and final-symbol MSE."""
+    """One row per SNR point: final BER and final-symbol MSE.  ``snr_list``
+    and ``records`` must have the same length; nothing is written otherwise."""
+    if len(snr_list) != len(records):
+        raise ValueError(f"{len(snr_list)} SNR points but {len(records)} records")
     try:
         with open(path, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
@@ -763,7 +720,7 @@ def _cmd_sweep(args) -> None:
 
 def _cmd_complexity(args) -> None:
     cfg = _cli_config(args)
-    counts = _record_complexity(cfg)
+    counts = complexity_report(cfg)
     if counts is None:
         raise ConfigError("the MMSE receiver has no adaptation complexity formula")
     print("scheme,additions,multiplications")

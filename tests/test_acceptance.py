@@ -11,13 +11,12 @@ from numpy.testing import assert_array_equal
 from scipy.special import j0
 
 from rrfilt.cdma import CdmaConfig, ClarkeChannel, generate_received, qpsk_symbols, generate_signatures
-from rrfilt.combiners import SchemeA, SchemeB, sigmoid
+from rrfilt.combiners import Clms, SchemeA, SchemeB, sigmoid
 from rrfilt.filters import FullRankLms, JidfFilter
 from rrfilt.harness import (
     BranchParams,
     CombinerSteps,
     ExperimentConfig,
-    complexity_report,
     run_experiment,
     snr_sweep,
 )
@@ -245,15 +244,17 @@ def test_c3c_degenerate_reduced_rank_matches_full_rank():
 
 
 def test_c4_complexity_formulas():
-    for m in (8, 40, 64):
-        assert complexity_report(m, scheme="fullrank") == (2 * m, 2 * m + 1)
-        assert complexity_report(m, scheme="clms") == (4 * m + 5, 4 * m + 6)
-        i, d, b = 3, 4, 8
-        assert complexity_report(m, [i], [d], b, "jidf") == (
+    i, d = 3, 4
+    # 8 branches of rank 4 do not fit an 8-sample window; 2 do
+    for m, b in ((8, 2), (40, 8), (64, 8)):
+        lms = FullRankLms(m, 0.1)
+        assert lms.ops == (2 * m, 2 * m + 1)
+        assert Clms([lms, FullRankLms(m, 0.01)], [0.25]).ops == (4 * m + 5, 4 * m + 6)
+        assert JidfFilter(m, i, d, b, 0.01, 0.1).ops == (
             m * (i - 1) + (b + 1) * d + 2 * i,
             m * i + (b + 2) * d,
         )
-    assert complexity_report(40, [3], [4], 8, "jidf") == (122, 160)
+    assert JidfFilter(40, 3, 4, 8, 0.01, 0.1).ops == (122, 160)
     _report("criterion 4: complexity formulas",
             "M in {8, 40, 64}; desk parameters give (122, 160)")
 

@@ -271,36 +271,54 @@ class TestConfigFuzz:
         loaded.validate()
 
 
+# constituents per adaptive scheme, and the schemes whose constituents are
+# reduced-rank filters
+_N_FILTERS = {"fullrank": 1, "clms": 2, "jidf": 1, "scheme_a": 4, "scheme_b": 2}
+_REDUCED_RANK = {"jidf", "scheme_a", "scheme_b"}
+
+
 class TestComplexityReport:
-    @pytest.mark.parametrize("m", [8, 40, 64])
-    def test_fullrank(self, m):
-        assert complexity_report(m, scheme="fullrank") == (2 * m, 2 * m + 1)
+    """The closed forms of single filters are criterion 4's
+    (``test_acceptance.py``); these are the counts of whole schemes."""
 
-    @pytest.mark.parametrize("m", [8, 40, 64])
-    def test_clms(self, m):
-        assert complexity_report(m, scheme="clms") == (4 * m + 5, 4 * m + 6)
+    @pytest.mark.parametrize("name, counts", [
+        ("scheme_a", (758, 900)), ("scheme_b", (379, 450)), ("mmse", None),
+    ])
+    def test_committed_configs(self, name, counts):
+        assert complexity_report(load_config(CONFIGS / f"{name}.yaml")) == counts
 
-    @pytest.mark.parametrize("m", [8, 40, 64])
-    def test_single_reduced_rank_formula(self, m):
-        i, d, b = 3, 4, 8
-        adds, mults = complexity_report(m, [i], [d], b, "jidf")
-        assert adds == m * (i - 1) + (b + 1) * d + 2 * i
-        assert mults == m * i + (b + 2) * d
-
-    def test_desk_scale_single_filter(self):
-        assert complexity_report(40, [3], [4], 8, "jidf") == (122, 160)
-
-    def test_four_filter_tree(self):
-        adds, mults = complexity_report(40, [3, 6, 3, 6], [3, 6, 3, 6], 8, "scheme_a")
-        assert (adds, mults) == (758, 900)
-
-    def test_no_formula_for_mmse(self):
-        with pytest.raises(ValueError):
-            complexity_report(40, scheme="mmse")
-
-    def test_count_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            complexity_report(40, [3], [4], 8, "scheme_b")
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_sum_of_closed_forms(self, data):
+        scheme = data.draw(st.sampled_from(sorted(_N_FILTERS)), label="scheme")
+        chips, paths = data.draw(st.integers(1, 48)), data.draw(st.integers(1, 9))
+        m = chips + paths - 1
+        b = data.draw(st.integers(1, m), label="n_branches")
+        # the ranks whose b-branch bank fits the window (signalcore's rule)
+        fits = [d for d in range(1, m + 1) if b - 1 + (d - 1) * (m // d) < m]
+        branches, adds, mults = [], 0, 0
+        for _ in range(_N_FILTERS[scheme]):
+            if scheme in _REDUCED_RANK:
+                i = data.draw(st.integers(1, m), label="interp_len")
+                d = data.draw(st.sampled_from(fits), label="rank")
+                branches.append(BranchParams(mu=0.1, rank=d, interp_len=i, eta=0.01))
+                adds += m * (i - 1) + (b + 1) * d + 2 * i
+                mults += m * i + (b + 2) * d
+            else:
+                branches.append(BranchParams(mu=0.1))
+                adds += 2 * m
+                mults += 2 * m + 1
+        if scheme == "clms":  # its one mixing node: 5 additions, 4 multiplications
+            adds, mults = adds + 5, mults + 4
+        cfg = ExperimentConfig(
+            scheme=scheme, cdma=CdmaConfig(n_users=1, n_chips=chips, n_paths=paths),
+            n_branches=b, branches=branches,
+        )
+        cfg.validate()
+        counts = complexity_report(cfg)
+        assert counts == (adds, mults)
+        # the golden digests hash repr(complexity): Python ints, not numpy's
+        assert [type(c) for c in counts] == [int, int]
 
 
 class TestRunExperiment:
@@ -649,6 +667,13 @@ class TestCsv:
         assert [float(r["snr_db"]) for r in rows] == snrs
         for rec, row in zip(records, rows):
             assert float(row["ber"]) == pytest.approx(rec.final_ber, abs=1e-12)
+
+    def test_sweep_length_mismatch_rejected(self, tmp_path):
+        records = snr_sweep(tiny_config("mmse", n_symbols=5, n_runs=1), [6.0])
+        path = tmp_path / "sweep.csv"
+        with pytest.raises(ValueError, match="3 SNR points but 1 records"):
+            write_sweep_csv([1.0, 2.0, 3.0], records, path)
+        assert not path.exists()
 
 
 class TestCli:

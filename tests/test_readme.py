@@ -45,6 +45,7 @@ def test_both_library_examples_run():
         namespaces.append(namespace)
     # the first example's closing claim: vdot(w_eq, r) == scheme.predict(r)
     scheme, w_eq = namespaces[0]["scheme"], namespaces[0]["w_eq"]
+    assert (namespaces[0]["adds"], namespaces[0]["mults"]) == (379, 450)
     for r, _ in stream:
         y = scheme.predict(r)
         assert abs(np.vdot(w_eq, r) - y) <= 1e-10 * (1 + abs(y))
