@@ -373,9 +373,10 @@ def _build_scheme(cfg: ExperimentConfig, signatures=None, gains=None, noise_var=
 
 
 def complexity_report(cfg: ExperimentConfig) -> tuple[int, int] | None:
-    """Per-symbol real additions and multiplications of the configured
-    scheme, as its filters count them (``ops``), or ``None`` for the MMSE
-    receiver, which does not adapt."""
+    """Per-symbol real additions and multiplications of ``cfg``'s scheme
+    (validated first), as its filters count them (``ops``); ``None`` for the
+    MMSE receiver, which does not adapt."""
+    cfg.validate()
     if _SCHEMES[cfg.scheme].leaf is None:
         return None
     return _build_scheme(cfg).ops
@@ -660,8 +661,7 @@ def write_csv(record: ExperimentRecord, path) -> None:
 
 
 def write_sweep_csv(snr_list, records, path) -> None:
-    """One row per SNR point: final BER and final-symbol MSE.  ``snr_list``
-    and ``records`` must have the same length; nothing is written otherwise."""
+    """One row per SNR point, from its record: final BER and final-symbol MSE."""
     if len(snr_list) != len(records):
         raise ValueError(f"{len(snr_list)} SNR points but {len(records)} records")
     try:

@@ -287,6 +287,11 @@ class TestComplexityReport:
     def test_committed_configs(self, name, counts):
         assert complexity_report(load_config(CONFIGS / f"{name}.yaml")) == counts
 
+    @pytest.mark.parametrize("cfg", [ExperimentConfig("rls"), ExperimentConfig("jidf")])
+    def test_invalid_config_rejected(self, cfg):
+        with pytest.raises(ConfigError):
+            complexity_report(cfg)
+
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_sum_of_closed_forms(self, data):
