@@ -384,6 +384,29 @@ class TestNodeStepSizes:
                 tree(filters, mus)
 
 
+class TestNodeOps:
+    """A tree's count is its constituents' closed forms plus its nodes' cost:
+    CLMS counts its one node (5 additions, 4 multiplications), schemes A and
+    B count nothing for theirs."""
+
+    @pytest.mark.parametrize("tree,n_filters,node_ops", [
+        (Clms, 2, (5, 4)), (SchemeB, 2, (0, 0)), (SchemeA, 4, (0, 0)),
+    ])
+    def test_constituents_plus_node_cost(self, tree, n_filters, node_ops):
+        m, b = 12, 3
+        sizes = [(2 + k, 1 + k) for k in range(n_filters)]  # (I, D) per filter
+        if tree is Clms:
+            filters = [FullRankLms(m, 0.05) for _ in range(n_filters)]
+            adds, mults = n_filters * 2 * m, n_filters * (2 * m + 1)
+        else:
+            filters = [_jidf(m, d, i, 0.01, 0.1, n_branches=b) for i, d in sizes]
+            adds = sum(m * (i - 1) + (b + 1) * d + 2 * i for i, d in sizes)
+            mults = sum(m * i + (b + 2) * d for i, d in sizes)
+        n_nodes = n_filters - 1
+        scheme = tree(filters, [0.25] * n_nodes)
+        assert scheme.ops == (adds + n_nodes * node_ops[0], mults + n_nodes * node_ops[1])
+
+
 class TestMixingBounds:
     def test_mixings_stay_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(15)

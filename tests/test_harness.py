@@ -282,12 +282,18 @@ class TestComplexityReport:
     (``test_acceptance.py``); these are the counts of whole schemes."""
 
     @pytest.mark.parametrize("name, counts", [
+        ("fullrank", (80, 81)), ("clms", (165, 166)), ("jidf", (122, 160)),
         ("scheme_a", (758, 900)), ("scheme_b", (379, 450)), ("mmse", None),
     ])
     def test_committed_configs(self, name, counts):
         assert complexity_report(load_config(CONFIGS / f"{name}.yaml")) == counts
 
-    @pytest.mark.parametrize("cfg", [ExperimentConfig("rls"), ExperimentConfig("jidf")])
+    @pytest.mark.parametrize("cfg", [
+        ExperimentConfig("rls"),
+        ExperimentConfig("jidf"),
+        # one branch entry for a scheme of two constituents
+        ExperimentConfig("scheme_b", branches=[BranchParams(mu=0.1, rank=4, interp_len=3)]),
+    ])
     def test_invalid_config_rejected(self, cfg):
         with pytest.raises(ConfigError):
             complexity_report(cfg)
