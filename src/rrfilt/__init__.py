@@ -45,7 +45,6 @@ from .combiners import (
 from .filters import FullRankLms, JidfFilter, StepResult
 from .harness import (
     BranchParams,
-    CombinerSteps,
     ConfigError,
     ExperimentConfig,
     ExperimentRecord,
@@ -66,7 +65,6 @@ __all__ = [
     "ClarkeChannel",
     "Clms",
     "Combiner",
-    "CombinerSteps",
     "ConfigError",
     "ExperimentConfig",
     "ExperimentRecord",

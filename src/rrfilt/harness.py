@@ -21,8 +21,11 @@ index order.  Supported schemes:
 
 Every scheme, the non-adaptive MMSE receiver included, is built by one
 builder and runs through the same ``step(r, d)`` call.  Each scheme is its
-row of ``_SCHEMES`` (filter class, mixing tree, record slot of each node),
-and the built scheme counts its own operations (``ops``).
+row of ``_SCHEMES`` (filter class, mixing tree, name of each mixing node),
+and the built scheme counts its own operations (``ops``).  Every per-node
+value is keyed by the node's name: the config's ``combiners`` step size
+``mu_<node>`` and the run CSV's ``lambda_<node>`` column; a record holds
+the mixing values as one ``lambdas`` array in node order.
 
 Training is supervised by default (the desired response is the true symbol
 for the whole packet; errors are still counted on the slicer decisions).
@@ -49,7 +52,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -72,20 +74,20 @@ from .filters import FullRankLms, JidfFilter
 class _Scheme(NamedTuple):
     leaf: type | None  # constituent filter class; None for the MMSE receiver
     tree: type | None = None  # mixing tree over the constituents, if any
-    # record slot of each of the tree's nodes, in node order: 0, 1, 2 are the
-    # lambda_a, lambda_b, lambda_c columns and the mu_a, mu_b, mu_c steps
-    slots: tuple[int, ...] = ()
+    nodes: tuple[str, ...] = ()  # name of each of the tree's nodes, in node order
 
 
 _SCHEMES = {
     "fullrank": _Scheme(FullRankLms),
-    "clms": _Scheme(FullRankLms, Clms, (0,)),
+    "clms": _Scheme(FullRankLms, Clms, ("a",)),
     "jidf": _Scheme(JidfFilter),
-    "scheme_a": _Scheme(JidfFilter, SchemeA, (0, 1, 2)),
-    "scheme_b": _Scheme(JidfFilter, SchemeB, (2,)),
+    "scheme_a": _Scheme(JidfFilter, SchemeA, ("a", "b", "c")),
+    "scheme_b": _Scheme(JidfFilter, SchemeB, ("c",)),
     "mmse": _Scheme(None),
 }
 SCHEMES = tuple(_SCHEMES)
+# step size of a mixing node whose mu_<node> the config leaves out
+_NODE_MU = 0.25
 
 
 class ConfigError(ValueError):
@@ -107,16 +109,6 @@ class BranchParams:
 
 
 @dataclass
-class CombinerSteps:
-    """Step sizes of the combination nodes (only the nodes a scheme actually
-    has are read)."""
-
-    mu_a: float = 0.25
-    mu_b: float = 0.25
-    mu_c: float = 0.25
-
-
-@dataclass
 class ExperimentConfig:
     scheme: str
     cdma: CdmaConfig = field(default_factory=CdmaConfig)
@@ -127,7 +119,8 @@ class ExperimentConfig:
     train_symbols: int = 200
     n_branches: int = 8
     branches: list[BranchParams] = field(default_factory=list)
-    combiners: CombinerSteps = field(default_factory=CombinerSteps)
+    # mu_<node> -> step size; a node without a key takes _NODE_MU
+    combiners: dict[str, float] = field(default_factory=dict)
     u_max: float = 4.0
     out: str | None = None  # default CSV path; the CLI --out flag overrides
 
@@ -165,8 +158,14 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         spec = _SCHEMES[self.scheme]
-        n_nodes = len(spec.tree.NODES) if spec.tree else 0
-        n_filters = 0 if spec.leaf is None else n_nodes + 1
+        takes = [f"mu_{node}" for node in spec.nodes]
+        unknown = set(self.combiners).difference(takes)
+        if unknown:
+            raise ConfigError(
+                f"unknown combiners keys {sorted(unknown, key=str)} for scheme "
+                f"{self.scheme!r}, which takes {takes or 'none'}"
+            )
+        n_filters = 0 if spec.leaf is None else len(spec.nodes) + 1
         if len(self.branches) != n_filters:
             raise ConfigError(
                 f"scheme {self.scheme!r} needs exactly {n_filters} branch "
@@ -192,9 +191,11 @@ class ExperimentRecord:
 
     ``cumulative_ber[i]`` is the error ratio of the slicer decisions over
     symbols ``0..i``; ``mse[i]`` the run-averaged instantaneous squared error
-    of the scheme output.  Mixing trajectories and branch statistics are
-    ``None`` for schemes that do not have them.  Runs that diverge (see
-    :func:`_run_point`) are excluded from every average and counted.
+    of the scheme output.  ``lambdas[i, k]`` is the run-averaged mixing
+    value of the scheme's node ``k`` (``(n_symbols, 0)`` without nodes);
+    branch statistics are ``None`` for schemes that do not have them.  Runs
+    that diverge (see :func:`_run_point`) are excluded from every average
+    and counted.
     ``wall_time`` is the elapsed seconds of the call that produced the
     record: for a sweep, the whole sweep.
     """
@@ -205,9 +206,7 @@ class ExperimentRecord:
     diverged_runs: int
     cumulative_ber: np.ndarray
     mse: np.ndarray
-    lambda_a: np.ndarray | None
-    lambda_b: np.ndarray | None
-    lambda_c: np.ndarray | None
+    lambdas: np.ndarray
     b_opt_mode: np.ndarray | None
     branch_hist: np.ndarray | None
     per_run_ber: np.ndarray
@@ -237,7 +236,6 @@ _CDMA_KEYS = {
     "path_profile_db": ("path_profile_db", (float,)),
 }
 _BRANCH_KEYS = {"mu": float, "rank": int, "interp_len": int, "eta": float}
-_COMBINER_KEYS = {"mu_a", "mu_b", "mu_c"}
 _KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
 
@@ -314,10 +312,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         comb_data = {}
     if not isinstance(comb_data, dict):
         raise ConfigError("combiners section must be a mapping")
-    _reject_unknown(comb_data, _COMBINER_KEYS, "combiners")
-    combiners = CombinerSteps(**{
-        k: _convert(float, v, f"combiners.{k}") for k, v in comb_data.items()
-    })
+    # validate() rejects the keys of nodes the scheme does not have
+    combiners = {k: _convert(float, v, f"combiners.{k}") for k, v in comb_data.items()}
 
     cfg = ExperimentConfig(
         cdma=cdma,
@@ -352,9 +348,9 @@ def load_config(path) -> ExperimentConfig:
 
 def _build_scheme(cfg: ExperimentConfig, signatures=None, gains=None, noise_var=None):
     """A fresh instance of the configured scheme: one filter, a mixing tree
-    whose nodes take the step sizes of their slots (``mu_a``, ``mu_b``,
-    ``mu_c``), or the MMSE receiver bound to one run's signatures and channel
-    gains and one noise variance (only the receiver reads those three)."""
+    whose nodes take their ``mu_<node>`` step sizes, or the MMSE receiver
+    bound to one run's signatures and channel gains and one noise variance
+    (only the receiver reads those three)."""
     spec = _SCHEMES[cfg.scheme]
     if spec.leaf is None:
         return MmseReceiver(cfg.cdma, signatures, gains, noise_var)
@@ -368,8 +364,8 @@ def _build_scheme(cfg: ExperimentConfig, signatures=None, gains=None, noise_var=
         filters = [FullRankLms(m, b.mu) for b in cfg.branches]
     if spec.tree is None:
         return filters[0]
-    steps = (cfg.combiners.mu_a, cfg.combiners.mu_b, cfg.combiners.mu_c)
-    return spec.tree(filters, [steps[s] for s in spec.slots], u_max=cfg.u_max)
+    mus = [cfg.combiners.get(f"mu_{node}", _NODE_MU) for node in spec.nodes]
+    return spec.tree(filters, mus, u_max=cfg.u_max)
 
 
 def complexity_report(cfg: ExperimentConfig) -> tuple[int, int] | None:
@@ -522,6 +518,9 @@ def _monte_carlo(points: list[ExperimentConfig]) -> list[ExperimentRecord]:
     n_runs = cfg.n_runs
     workers = _worker_count(n_runs)
     if workers > 1 and n_runs > 1:
+        # imported here: multiprocessing loads only when a pool starts
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
             runs = list(
                 pool.map(_single_run, [cfg] * n_runs, [noise_vars] * n_runs, range(n_runs))
@@ -564,17 +563,11 @@ def _reduce(cfg: ExperimentConfig, runs: list[_RunResult]) -> ExperimentRecord:
     else:
         cumulative = np.full(n, np.nan)
         mse = np.full(n, np.nan)
-        lam = np.full((n, len(spec.slots)), np.nan)
+        lam = np.full((n, len(spec.nodes)), np.nan)
         hist = np.zeros(cfg.n_branches, dtype=np.int64)
         per_run = np.full(cfg.n_runs, np.nan)
         mode = None
 
-    # node k's mixing goes to column slots[k], each copied out, so a record
-    # does not pin the whole stack
-    columns = [None] * 3
-    for k, slot in enumerate(spec.slots):
-        columns[slot] = lam[:, k].copy()
-    lambda_a, lambda_b, lambda_c = columns
     return ExperimentRecord(
         scheme=cfg.scheme,
         n_symbols=n,
@@ -582,9 +575,7 @@ def _reduce(cfg: ExperimentConfig, runs: list[_RunResult]) -> ExperimentRecord:
         diverged_runs=diverged,
         cumulative_ber=cumulative,
         mse=mse,
-        lambda_a=lambda_a,
-        lambda_b=lambda_b,
-        lambda_c=lambda_c,
+        lambdas=lam,
         b_opt_mode=mode,
         branch_hist=hist if reduced_rank else None,
         per_run_ber=per_run,
@@ -636,8 +627,14 @@ def _fmt(value) -> str:
 
 def write_csv(record: ExperimentRecord, path) -> None:
     """Per-symbol trajectories, one row per symbol (1-based index), ten
-    significant digits; mixing/branch columns are empty when the scheme has
-    none."""
+    significant digits.  Node ``x``'s mixing values fill column
+    ``lambda_x``; mixing columns of nodes the scheme lacks, and the branch
+    column of schemes without branches, are empty."""
+    nodes = _SCHEMES[record.scheme].nodes
+    lambda_a, lambda_b, lambda_c = (
+        record.lambdas[:, nodes.index(node)] if node in nodes else None
+        for node in ("a", "b", "c")
+    )
     try:
         with open(path, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
@@ -650,9 +647,9 @@ def write_csv(record: ExperimentRecord, path) -> None:
                         i + 1,
                         _fmt(record.mse[i]),
                         _fmt(record.cumulative_ber[i]),
-                        _fmt(None if record.lambda_a is None else record.lambda_a[i]),
-                        _fmt(None if record.lambda_b is None else record.lambda_b[i]),
-                        _fmt(None if record.lambda_c is None else record.lambda_c[i]),
+                        _fmt(None if lambda_a is None else lambda_a[i]),
+                        _fmt(None if lambda_b is None else lambda_b[i]),
+                        _fmt(None if lambda_c is None else lambda_c[i]),
                         "" if record.b_opt_mode is None else int(record.b_opt_mode[i]),
                     ]
                 )

@@ -15,7 +15,6 @@ from rrfilt.combiners import Clms, SchemeA, SchemeB, sigmoid
 from rrfilt.filters import FullRankLms, JidfFilter
 from rrfilt.harness import (
     BranchParams,
-    CombinerSteps,
     ExperimentConfig,
     run_experiment,
     snr_sweep,
@@ -325,7 +324,6 @@ def _desk_config(scheme, snr=15.0, runs=20, seed=20240):
     return ExperimentConfig(
         scheme=scheme, cdma=cdma, n_symbols=1500, n_runs=runs, seed=seed,
         n_branches=8, branches=branches,
-        combiners=CombinerSteps(0.25, 0.25, 0.25),
     )
 
 

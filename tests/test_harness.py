@@ -11,6 +11,7 @@ import resource
 import subprocess
 import sys
 import types
+from concurrent import futures
 from pathlib import Path
 
 import numpy as np
@@ -132,7 +133,7 @@ combiners: {mu_c: 0.25}
         assert cfg.scheme == "scheme_b"
         assert cfg.cdma.n_chips == 8
         assert cfg.branches[1].rank == 5
-        assert cfg.combiners.mu_c == 0.25
+        assert cfg.combiners == {"mu_c": 0.25}
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.yaml"
@@ -210,11 +211,61 @@ combiners: {mu_c: 0.25}
 
     def test_null_sections_take_the_defaults(self):
         cfg = config_from_dict({"scheme": "mmse", "branches": None, "combiners": None})
-        assert cfg.branches == [] and cfg.combiners == harness.CombinerSteps()
+        assert cfg.branches == [] and cfg.combiners == {}
 
     def test_unknown_keys_of_mixed_types_are_listed(self):
         with pytest.raises(ConfigError, match=r"unknown configuration keys: \[1, 'foo'\]"):
             config_from_dict({"scheme": "mmse", "foo": 1, 1: 2})
+
+
+# mixing-node step sizes of the committed configs, by node name
+_COMMITTED_NODE_MUS = {
+    "fullrank": {}, "clms": {"a": 0.25}, "jidf": {},
+    "scheme_a": {"a": 0.25, "b": 0.25, "c": 0.25}, "scheme_b": {"c": 0.25}, "mmse": {},
+}
+
+
+class TestNodeStepSizes:
+    """``combiners`` takes ``mu_<node>`` for the scheme's own nodes only."""
+
+    @pytest.mark.parametrize("scheme", harness.SCHEMES)
+    def test_one_name_per_tree_node(self, scheme):
+        spec = harness._SCHEMES[scheme]
+        assert len(spec.nodes) == (len(spec.tree.NODES) if spec.tree else 0)
+
+    @pytest.mark.parametrize("combiners", [{"mu_a": 0.25}, {"mu_b": -5.0},
+                                           {"mu_c": 0.25, "mu_a": 0.9}])
+    def test_scheme_b_refuses_other_nodes(self, combiners):
+        data = yaml.safe_load((CONFIGS / "scheme_b.yaml").read_text())
+        data["combiners"] = combiners
+        (key,) = set(combiners) - {"mu_c"}
+        with pytest.raises(ConfigError, match=rf"\['{key}'\].*\['mu_c'\]"):
+            config_from_dict(data)
+
+    @pytest.mark.parametrize("scheme", ["fullrank", "jidf", "mmse"])
+    @pytest.mark.parametrize("key", ["mu_a", "mu_b", "mu_c", "mu_z"])
+    def test_schemes_without_nodes_take_none(self, scheme, key):
+        data = yaml.safe_load((CONFIGS / f"{scheme}.yaml").read_text())
+        data["combiners"] = {key: 0.25}
+        with pytest.raises(ConfigError, match=rf"\['{key}'\].*takes none"):
+            config_from_dict(data)
+        with pytest.raises(ConfigError, match=key):
+            tiny_config(scheme, combiners={key: 0.25}).validate()
+
+    @pytest.mark.parametrize("scheme", harness.SCHEMES)
+    def test_committed_configs_build_their_step_sizes(self, scheme):
+        cfg = load_config(CONFIGS / f"{scheme}.yaml")
+        built = None if scheme == "mmse" else harness._build_scheme(cfg)
+        mus = [c.mu for c in getattr(built, "combiners", [])]
+        assert dict(zip(harness._SCHEMES[scheme].nodes, mus)) == _COMMITTED_NODE_MUS[scheme]
+        assert len(mus) == len(_COMMITTED_NODE_MUS[scheme])
+
+    def test_each_node_reads_its_own_key(self):
+        cfg = tiny_config("scheme_a", combiners={"mu_b": 0.5, "mu_c": 0.125})
+        built = harness._build_scheme(cfg)
+        assert [c.mu for c in built.combiners] == [0.25, 0.5, 0.125]  # 0.25: no key
+        built = harness._build_scheme(tiny_config("scheme_b", combiners={"mu_c": 0.5}))
+        assert [c.mu for c in built.combiners] == [0.5]
 
 
 # a valid tiny config of each adaptive scheme, as a config file would hold it
@@ -226,7 +277,7 @@ _FUZZ_BASE = {
              "amplitudes": [1.0, 0.5], "path_profile_db": [0.0, -3.0, -9.0]},
     "branches": [{"rank": 2, "interp_len": 2, "eta": 0.01, "mu": 0.1},
                  {"rank": 5, "interp_len": 3, "eta": 0.005, "mu": 0.02}],
-    "combiners": {"mu_a": 0.25, "mu_b": 0.25, "mu_c": 0.25},
+    "combiners": {"mu_c": 0.25},
 }
 # values of every wrong (and some right) type; sizes stay small, so that a
 # value that loads builds only small filters
@@ -341,15 +392,10 @@ class TestRunExperiment:
         assert rec.cumulative_ber.shape == (80,)
         assert rec.mse.shape == (80,)
         assert np.all((rec.cumulative_ber >= 0) & (rec.cumulative_ber <= 1))
-        # a mixing column exactly where the scheme has a node of that name
-        nodes = {"clms": "a", "scheme_b": "c", "scheme_a": "abc"}.get(scheme, "")
-        for node in "abc":
-            lam = getattr(rec, f"lambda_{node}")
-            if node in nodes:
-                assert lam.shape == (80,)
-                assert np.all((lam > 0) & (lam < 1))
-            else:
-                assert lam is None
+        # one mixing column per node, strictly convex
+        assert rec.lambdas.shape == (80, len(harness._SCHEMES[scheme].nodes))
+        assert rec.lambdas.dtype == np.float64
+        assert np.all((rec.lambdas > 0) & (rec.lambdas < 1))
         if scheme in ("jidf", "scheme_b", "scheme_a"):
             # constituents * symbols * runs
             assert rec.branch_hist.sum() == len(cfg.branches) * 80 * 3
@@ -369,7 +415,7 @@ class TestRunExperiment:
         b = run_experiment(tiny_config("scheme_a"))
         assert_array_equal(a.cumulative_ber, b.cumulative_ber)
         assert_array_equal(a.mse, b.mse)
-        assert_array_equal(a.lambda_a, b.lambda_a)
+        assert_array_equal(a.lambdas, b.lambdas)
         assert_array_equal(a.b_opt_mode, b.b_opt_mode)
 
     def test_worker_count_does_not_change_results(self, monkeypatch):
@@ -447,6 +493,7 @@ class TestRunExperiment:
         rec = run_experiment(cfg)
         assert rec.diverged_runs == 3
         assert np.all(np.isnan(rec.per_run_ber))
+        assert rec.lambdas.shape == (400, 1) and np.all(np.isnan(rec.lambdas))
 
     @pytest.mark.parametrize(
         "scheme,owner", [("jidf", JidfFilter), ("scheme_b", SchemeB)]
@@ -552,16 +599,17 @@ class TestMonteCarloEngine:
 
     @pytest.fixture
     def pools(self, monkeypatch):
-        """Pool constructions, counted through the name the engine uses; two
-        CPUs, so that ``RRFILT_THREADS=2`` means two workers on any box."""
+        """Pool constructions, counted through the name the engine imports
+        when it starts a pool; two CPUs, so that ``RRFILT_THREADS=2`` means
+        two workers on any box."""
         made = []
 
-        class Counting(harness.ProcessPoolExecutor):
+        class Counting(futures.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 made.append(kwargs.get("max_workers"))
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", Counting)
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", Counting)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
         return made
 
@@ -635,11 +683,18 @@ class TestMonteCarloEngine:
         assert seen.runs == [1] * 4
 
 
+_CSV_HEADER = "symbol,mse,ber,lambda_a,lambda_b,lambda_c,b_opt_mode"
+
+
 class TestCsv:
-    def test_round_trip_to_ten_significant_digits(self, tmp_path):
-        rec = run_experiment(tiny_config("scheme_b"))
+    @pytest.mark.parametrize("scheme", harness.SCHEMES)
+    def test_round_trip_to_ten_significant_digits(self, tmp_path, scheme):
+        rec = run_experiment(tiny_config(scheme))
+        nodes = harness._SCHEMES[scheme].nodes
+        assert rec.lambdas.shape == (rec.n_symbols, len(nodes))
         path = tmp_path / "out.csv"
         write_csv(rec, path)
+        assert path.read_text().splitlines()[0] == _CSV_HEADER
         with open(path, newline="") as handle:
             rows = list(csv.DictReader(handle))
         assert len(rows) == rec.n_symbols
@@ -650,22 +705,31 @@ class TestCsv:
             assert float(row["ber"]) == pytest.approx(
                 rec.cumulative_ber[i], rel=1e-9, abs=1e-12
             )
-            assert float(row["lambda_c"]) == pytest.approx(rec.lambda_c[i], rel=1e-9)
-            assert row["lambda_a"] == "" and row["lambda_b"] == ""
-            assert int(row["b_opt_mode"]) == rec.b_opt_mode[i]
+            # node x fills column lambda_x; the other mixing columns stay empty
+            for node in "abc":
+                cell = row[f"lambda_{node}"]
+                if node in nodes:
+                    want = rec.lambdas[i, nodes.index(node)]
+                    assert float(cell) == pytest.approx(want, rel=1e-9)
+                else:
+                    assert cell == ""
+            if rec.b_opt_mode is None:
+                assert row["b_opt_mode"] == ""
+            else:
+                assert int(row["b_opt_mode"]) == rec.b_opt_mode[i]
 
     def test_empty_record_writes_header_only(self, tmp_path):
         empty = ExperimentRecord(
             scheme="jidf", n_symbols=0, n_runs=0, diverged_runs=0,
-            cumulative_ber=np.array([]), mse=np.array([]), lambda_a=None,
-            lambda_b=None, lambda_c=None, b_opt_mode=None, branch_hist=None,
+            cumulative_ber=np.array([]), mse=np.array([]), lambdas=np.empty((0, 0)),
+            b_opt_mode=None, branch_hist=None,
             per_run_ber=np.array([]), final_ber=float("nan"), wall_time=0.0,
             complexity=None,
         )
         path = tmp_path / "empty.csv"
         write_csv(empty, path)
         lines = path.read_text().splitlines()
-        assert lines == ["symbol,mse,ber,lambda_a,lambda_b,lambda_c,b_opt_mode"]
+        assert lines == [_CSV_HEADER]
 
     def test_sweep_rows(self, tmp_path):
         cfg = tiny_config("mmse", n_symbols=60, n_runs=2)
@@ -762,6 +826,21 @@ branches:
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[-1] == "scheme_a,758,900"
         assert proc.stderr == ""
+
+    def test_import_loads_no_process_pool(self):
+        # the pool's modules load only when a pool starts
+        path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+        code = (
+            "import sys, rrfilt\n"
+            f"rrfilt.load_config({str(CONFIGS / 'scheme_b.yaml')!r}).validate()\n"
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 # edits of configs/scheme_b.yaml whose values the filter or combiner
