@@ -2,11 +2,11 @@
 
 One symbol period spreads each user's QPSK symbol over ``n_chips`` chips with
 a unit-norm binary signature; all users share a common multipath downlink
-channel with ``n_paths`` chip-spaced taps, of which three carry a
-0 / -3 / -9 dB power profile with random spacing.  The receiver observes
-``window_len = n_chips + n_paths - 1`` chip-rate samples per symbol, so each
-window also sees the tails of the previous and the head of the next symbol
-(intersymbol interference).
+channel with ``n_paths`` chip-spaced taps, of which three carry the fixed
+0 / -3 / -9 dB power profile ``PATH_PROFILE_DB`` with random spacing.  The
+receiver observes ``window_len = n_chips + n_paths - 1`` chip-rate samples
+per symbol, so each window also sees the tails of the previous and the head
+of the next symbol (intersymbol interference).
 
 The received windows are produced by exact chip-rate convolution of the
 concatenated transmit chip stream with the channel taps of the observed
@@ -33,6 +33,7 @@ from .signalcore import _window
 
 SQRT2 = float(np.sqrt(2.0))
 N_OSCILLATORS = 16  # sinusoids per fading path
+PATH_PROFILE_DB = (0.0, -3.0, -9.0)  # power of each active path, in dB
 
 
 @dataclass
@@ -53,7 +54,6 @@ class CdmaConfig:
     snr_db: float = 15.0
     doppler: float = 1e-4
     amplitudes: tuple[float, ...] | None = None
-    path_profile_db: tuple[float, ...] = (0.0, -3.0, -9.0)
 
     def __post_init__(self):
         if self.n_users < 1 or self.n_chips < 1 or self.n_paths < 1:
@@ -84,14 +84,6 @@ class CdmaConfig:
             raise ValueError(
                 f"snr_db {self.snr_db} with desired amplitude {self.amplitudes[0]} "
                 "gives a noise variance beyond the float range"
-            )
-        self.path_profile_db = tuple(float(p) for p in self.path_profile_db)
-        with np.errstate(over="ignore"):  # the channel normalizes by this sum
-            total = (10.0 ** (np.asarray(self.path_profile_db) / 10.0)).sum()
-        if not (all(map(math.isfinite, self.path_profile_db)) and 0 < total < math.inf):
-            raise ValueError(
-                "path_profile_db must list finite dB values with a finite, "
-                "positive total power"
             )
 
     @property
@@ -159,34 +151,29 @@ def build_convolution_matrix(signature, n_paths: int, symbol_shift: int = 0) -> 
 class ClarkeChannel:
     """Time-varying multipath channel with isotropic-scattering fading.
 
-    Three (or ``len(profile_db)``) active paths are placed at chip delays
-    ``0, g1, g1 + g2`` with the gaps drawn uniformly from ``{0, 1, 2}``
-    (clipped into the tap range; coinciding paths add).  Each path's complex
-    gain is a sum of ``N_OSCILLATORS`` random-phase sinusoids whose Doppler
-    shifts come from equally spaced arrival angles over a half circle with a
-    random rotation, giving the expected power profile exactly and the
-    classic Bessel-shaped autocorrelation at rate ``doppler`` cycles/symbol.
-    Zero Doppler freezes the gains.
+    Three active paths, with the powers of ``PATH_PROFILE_DB`` normalized to
+    unit total, are placed at chip delays ``0, g1, g1 + g2`` with the gaps
+    drawn uniformly from ``{0, 1, 2}`` (clipped into the tap range;
+    coinciding paths add).  Each path's complex gain is a sum of
+    ``N_OSCILLATORS`` random-phase sinusoids whose Doppler shifts come from
+    equally spaced arrival angles over a half circle with a random rotation,
+    giving the expected power profile exactly and the classic Bessel-shaped
+    autocorrelation at rate ``doppler`` cycles/symbol.  Zero Doppler freezes
+    the gains.
     """
 
-    def __init__(
-        self,
-        n_paths: int,
-        doppler: float,
-        rng: np.random.Generator,
-        profile_db: tuple[float, ...] = (0.0, -3.0, -9.0),
-    ):
+    def __init__(self, n_paths: int, doppler: float, rng: np.random.Generator):
         if n_paths < 1:
             raise ValueError("n_paths must be >= 1")
         if doppler < 0:
             raise ValueError("doppler must be non-negative")
         self.n_paths = int(n_paths)
         self.doppler = float(doppler)
-        powers = 10.0 ** (np.asarray(profile_db, dtype=np.float64) / 10.0)
+        powers = 10.0 ** (np.asarray(PATH_PROFILE_DB, dtype=np.float64) / 10.0)
         self.path_powers = powers / powers.sum()
         n_active = self.path_powers.size
 
-        gaps = rng.integers(0, 3, size=max(n_active - 1, 0))
+        gaps = rng.integers(0, 3, size=n_active - 1)
         positions = np.concatenate(([0], np.cumsum(gaps))).astype(np.intp)
         self.positions = np.minimum(positions, self.n_paths - 1)
 
@@ -243,7 +230,7 @@ def generate_received(
     noise_vars: tuple[float, ...],
 ) -> np.ndarray:
     """Received observation windows for a block of symbols, at each of the
-    noise variances ``noise_vars``.
+    noise variances ``noise_vars`` (at least one).
 
     Builds the superposed transmit chip stream (ascending user order), runs
     it through the per-symbol channel taps by windowed chip-rate convolution
@@ -274,11 +261,10 @@ def generate_received(
         raise ValueError("symbols must be (n_users, n_symbols) with n_symbols >= 1")
     if gains.shape != (n_symbols, cfg.n_paths):
         raise ValueError("path_gains must be (n_symbols, n_paths)")
+    if len(noise_vars) == 0:
+        raise ValueError("need at least one noise variance")
 
     shape = (n_symbols, cfg.window_len)
-    if len(noise_vars) == 0:  # no block to build in, but the same two draws
-        rng.standard_normal((2, *shape))
-        return np.empty((0, *shape), dtype=np.complex128)
     received = np.zeros((len(noise_vars), *shape), dtype=np.complex128)
     signal_re, signal_im = _noiseless_planes(cfg, sigs, gains, b, received[0])
     noise_re = rng.standard_normal(shape)
@@ -360,15 +346,16 @@ class MmseReceiver:
         self.num_taps = cfg.window_len
         self.symbol = 0  # row of ``gains`` that the next step filters with
 
-    def filter_for(self, channel_gains, noise_var: float) -> np.ndarray:
-        """MMSE filter for one channel snapshot (length ``n_paths`` gains)."""
+    def filter_for(self, channel_gains) -> np.ndarray:
+        """MMSE filter for one channel snapshot (length ``n_paths`` gains) at
+        the receiver's noise variance."""
         h = np.asarray(channel_gains, dtype=np.complex128)
         if h.shape != (self.cfg.n_paths,):
             raise ValueError("channel snapshot must have one gain per path")
         eff = (self._stack @ h).reshape(self._eff_shape)  # (3 * n_users, window_len)
         cov = (eff.T * self._weights) @ np.conj(eff)
         # the diagonal, through a view: matmul returns a fresh C-ordered array
-        cov.ravel()[:: self._eff_shape[1] + 1] += noise_var + 1e-10
+        cov.ravel()[:: self._eff_shape[1] + 1] += self.noise_var + 1e-10
         # row 1 is user 0's current symbol (shifts -1, 0, 1 per user)
         steering = self.cfg.amplitudes[0] * eff[1]
         try:
@@ -384,7 +371,7 @@ class MmseReceiver:
 
     def equivalent(self) -> np.ndarray:
         """The current symbol's MMSE filter."""
-        return self.filter_for(self.gains[self.symbol], self.noise_var)
+        return self.filter_for(self.gains[self.symbol])
 
     def predict(self, r) -> complex:
         """Output of the current symbol's filter for ``r``; does not advance."""

@@ -29,8 +29,11 @@ decision-directed step builds one regressor, not two, and a mixing tree
 prepares each constituent once for both its prediction and its step.
 ``_step`` runs ``_forward`` (outputs, branch choice, gradients) then
 ``_commit`` (coefficient updates), the forward-pass/commit boundary the
-benchmark times.  Full-tap LMS has one output, so its ``_forward`` applies a
-decision function to that output and computes ``w^H x`` once.
+benchmark times.  The hand-off is plain values: ``_forward`` returns a
+tuple, ``(y, e)`` for full-tap LMS and ``(y, e, b_opt, r_bar, u)`` for JIDF,
+and ``_commit`` takes the error and the regressors it applies.  Full-tap
+LMS has one output, so its ``_forward`` applies a decision function to that
+output and computes ``w^H x`` once.
 """
 
 from __future__ import annotations
@@ -57,22 +60,6 @@ class StepResult:
     e: complex
     branches: tuple[int, ...]
     lambdas: tuple[float, ...]
-
-
-@dataclass
-class _LmsForward:
-    y: complex
-    e: complex
-    r: np.ndarray
-
-
-@dataclass
-class _JidfForward:
-    y: complex
-    e: complex
-    b_opt: int
-    r_bar: np.ndarray  # decimated interpolated regressor of the winning branch
-    u: np.ndarray  # interpolator regressor, built from pre-update coefficients
 
 
 class FullRankLms:
@@ -123,18 +110,18 @@ class FullRankLms:
         return np.vdot(self.w, x).item()
 
     def _step(self, x, d) -> StepResult:
-        fwd = self._forward(x, d)
-        self._commit(fwd)
-        return StepResult(fwd.y, fwd.e, (), ())
+        y, e = self._forward(x, d)
+        self._commit(e, x)
+        return StepResult(y, e, (), ())
 
-    def _forward(self, x, d) -> _LmsForward:
+    def _forward(self, x, d) -> tuple[complex, complex]:
         y = self._predict(x)
         if callable(d):
             d = d(y)
-        return _LmsForward(y, complex(d) - y, x)
+        return y, complex(d) - y
 
-    def _commit(self, fwd: _LmsForward) -> None:
-        self.w = self.w + self.mu * fwd.e.conjugate() * fwd.r
+    def _commit(self, e: complex, x) -> None:
+        self.w = self.w + self.mu * e.conjugate() * x
 
 
 class JidfFilter:
@@ -241,22 +228,23 @@ class JidfFilter:
     def _step(self, x, d) -> StepResult:
         if callable(d):
             d = d(self._predict(x))
-        fwd = self._forward(x, d)
-        self._commit(fwd)
-        return StepResult(fwd.y, fwd.e, (fwd.b_opt,), ())
+        y, e, b_opt, r_bar, u = self._forward(x, d)
+        self._commit(e, b_opt, r_bar, u)
+        return StepResult(y, e, (b_opt,), ())
 
-    def _forward(self, x, d) -> _JidfForward:
-        """Pre-update outputs of every branch and the winner's gradients."""
+    def _forward(self, x, d) -> tuple[complex, complex, int, np.ndarray, np.ndarray]:
+        """Pre-update outputs of every branch; the winner's output, error,
+        index, decimated regressor and interpolator regressor."""
         hankel, cv, cw = x
         r_bars = np.dot(hankel, cv)[self.patterns]  # (n_branches, rank)
         y_all = np.dot(r_bars, cw)
         e_all = complex(d) - y_all
         b = int((np.abs(e_all) ** 2).argmin())
         u = np.dot(hankel.take(self.patterns[b], 0).T, cw)  # interpolator regressor
-        return _JidfForward(y_all.item(b), e_all.item(b), b, r_bars[b], u)
+        return y_all.item(b), e_all.item(b), b, r_bars[b], u
 
-    def _commit(self, fwd: _JidfForward) -> None:
-        ce = fwd.e.conjugate()
-        self.v = self.v + self.eta * ce * fwd.u
-        self.w_bar = self.w_bar + self.mu * ce * fwd.r_bar
-        self.last_b_opt = fwd.b_opt
+    def _commit(self, e: complex, b_opt: int, r_bar, u) -> None:
+        ce = e.conjugate()
+        self.v = self.v + self.eta * ce * u
+        self.w_bar = self.w_bar + self.mu * ce * r_bar
+        self.last_b_opt = b_opt

@@ -125,6 +125,22 @@ class ExperimentConfig:
     out: str | None = None  # default CSV path; the CLI --out flag overrides
 
     def validate(self) -> None:
+        # types first: each field as config_from_dict makes it (never converted)
+        for key, kind in _TOP_SCALARS.items():
+            _check_kind(kind, getattr(self, key), key)
+        if self.out is not None:
+            _check_kind(str, self.out, "out")
+        for key, kind in (("cdma", CdmaConfig), ("branches", list), ("combiners", dict)):
+            if not isinstance(getattr(self, key), kind):
+                raise ConfigError(f"{key} must be a {kind.__name__}, got {getattr(self, key)!r}")
+        for i, b in enumerate(self.branches):
+            if not isinstance(b, BranchParams):
+                raise ConfigError(f"branches[{i}] must be a BranchParams, got {b!r}")
+            for key, kind in _BRANCH_KEYS.items():
+                if getattr(b, key) is not None or key == "mu":
+                    _check_kind(kind, getattr(b, key), f"branches[{i}].{key}")
+        for key, value in self.combiners.items():
+            _check_kind(float, value, f"combiners.{key}")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}; pick one of {SCHEMES}")
         if self.n_symbols < 1 or self.n_runs < 1:
@@ -233,7 +249,6 @@ _CDMA_KEYS = {
     "snr_db": ("snr_db", float),
     "doppler": ("doppler", float),
     "amplitudes": ("amplitudes", (float,)),
-    "path_profile_db": ("path_profile_db", (float,)),
 }
 _BRANCH_KEYS = {"mu": float, "rank": int, "interp_len": int, "eta": float}
 _KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}
@@ -265,6 +280,14 @@ def _convert(kind, value, key: str):
     if bad:
         raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
     return converted
+
+
+def _check_kind(kind, value, key: str) -> None:
+    """Raise a :class:`ConfigError` naming ``key`` unless ``value`` is what
+    :func:`_convert` returns for ``kind`` (a number may be an int; no bool)."""
+    allowed = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -300,11 +323,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         if not isinstance(entry, dict):
             raise ConfigError(f"branch {i} must be a mapping")
         _reject_unknown(entry, _BRANCH_KEYS, f"branch {i}")
-        if entry.get("mu") is None:
-            raise ConfigError(f"branch {i} needs a mu")
+        # a missing mu is None, which validate() refuses
         branches.append(BranchParams(**{
             k: None if v is None else _convert(_BRANCH_KEYS[k], v, f"branches[{i}].{k}")
-            for k, v in entry.items()
+            for k, v in {"mu": None, **entry}.items()
         }))
 
     comb_data = data.get("combiners")
@@ -403,9 +425,7 @@ def _single_run(
     rng = np.random.default_rng(cfg.seed + run_idx)
     cdma = cfg.cdma
     signatures = generate_signatures(cdma.n_users, cdma.n_chips, rng)
-    channel = ClarkeChannel(
-        cdma.n_paths, cdma.doppler, rng, profile_db=cdma.path_profile_db
-    )
+    channel = ClarkeChannel(cdma.n_paths, cdma.doppler, rng)
     symbols = qpsk_symbols(rng, cdma.n_users, cfg.n_symbols)
     gains = channel.run(cfg.n_symbols)
     received = generate_received(cdma, signatures, gains, symbols, rng, noise_vars)

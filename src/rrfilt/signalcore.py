@@ -73,21 +73,23 @@ def generate_decimation_patterns(
     patterns, one pattern per row.
 
     Pattern ``b`` (0-based) keeps indices ``b + d * stride`` for
-    ``d = 0 .. rank-1`` with ``stride = num_taps // rank``: a uniform comb
-    per branch, offset by one sample per branch.  All requested branches
-    must fit inside the window.
+    ``d = 0 .. rank-1``: a uniform comb per branch, offset by one sample per
+    branch.  ``stride = num_taps // rank``, shortened for rank > 1 to
+    ``(num_taps - n_branches) // (rank - 1)`` where the bank would not fit,
+    so exactly the ranks up to ``num_taps - n_branches + 1`` fit.
     """
     if rank < 1 or rank > num_taps:
         raise ValueError("rank must satisfy 1 <= rank <= num_taps")
     if n_branches < 1:
         raise ValueError("need at least one branch")
-    stride = num_taps // rank
-    highest = (n_branches - 1) + (rank - 1) * stride
-    if highest >= num_taps:
+    if rank > num_taps - n_branches + 1:
         raise ValueError(
             f"{n_branches} branches of rank {rank} do not fit in a "
             f"{num_taps}-sample window (patterns would collide or leave it)"
         )
+    stride = num_taps // rank
+    if rank > 1:
+        stride = min(stride, (num_taps - n_branches) // (rank - 1))
     offsets = stride * np.arange(rank, dtype=np.intp)
     table = np.arange(n_branches, dtype=np.intp)[:, None] + offsets
     table.setflags(write=False)

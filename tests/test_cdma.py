@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from test_golden import GOLDEN, platform_fingerprint
 
 from rrfilt.cdma import (
+    PATH_PROFILE_DB,
     CdmaConfig,
     ClarkeChannel,
     MmseReceiver,
@@ -147,6 +148,23 @@ class TestClarkeChannel:
             ch.path_powers / ch.path_powers[0], [1.0, 10 ** -0.3, 10 ** -0.9]
         )
 
+    def test_fixed_profile_and_draws(self):
+        # the powers are the normalized 0 / -3 / -9 dB profile, bit for bit,
+        # and the constructor draws 2 gaps, then per path one rotation and
+        # 16 phases, whatever the tap count
+        assert PATH_PROFILE_DB == (0.0, -3.0, -9.0)
+        rng = np.random.default_rng(20240)
+        ch = ClarkeChannel(9, 5e-3, rng)
+        powers = 10.0 ** (np.array([0.0, -3.0, -9.0]) / 10.0)
+        assert_array_equal(ch.path_powers, powers / powers.sum())
+        replay = np.random.default_rng(20240)
+        gaps = replay.integers(0, 3, size=2)
+        assert_array_equal(ch.positions, np.minimum([0, gaps[0], gaps.sum()], 8))
+        for p in range(3):
+            replay.random()
+            assert_array_equal(ch._phases[p], replay.uniform(0.0, 2.0 * np.pi, 16))
+        assert rng.bit_generator.state == replay.bit_generator.state
+
     def test_path_powers_over_time(self):
         ch = ClarkeChannel(9, 0.02, np.random.default_rng(8))
         n = 20000
@@ -199,7 +217,7 @@ class TestGenerateReceived:
     def test_matches_chip_stream_oracle_bit_for_bit(self):
         cfg = CdmaConfig(
             n_users=3, n_chips=8, n_paths=3, snr_db=12.0,
-            amplitudes=(1.0, 0.7, 1.3), path_profile_db=(0.0, -3.0, -9.0),
+            amplitudes=(1.0, 0.7, 1.3),
         )
         rng_lib = np.random.default_rng(10)
         rng_oracle = np.random.default_rng(10)
@@ -250,20 +268,14 @@ class TestGenerateReceived:
             # one draw serves every variance: the generator ends in one state
             assert alone_rng.standard_normal() == after
 
-    def test_no_variances_give_no_blocks_and_the_same_draws(self):
+    def test_needs_a_noise_variance(self):
         cfg = CdmaConfig(n_users=3, n_chips=8, n_paths=5, snr_db=12.0)
         setup = np.random.default_rng(16)
         sigs = generate_signatures(3, 8, setup)
         gains = ClarkeChannel(5, 1e-3, setup).run(30)
         symbols = qpsk_symbols(setup, 3, 30)
-        rng = np.random.default_rng(17)
-        received = generate_received(cfg, sigs, gains, symbols, rng, ())
-        assert received.shape == (0, 30, cfg.window_len)
-        assert received.dtype == np.complex128
-        expected = np.random.default_rng(17)
-        expected.standard_normal((30, cfg.window_len))
-        expected.standard_normal((30, cfg.window_len))
-        assert rng.bit_generator.state == expected.bit_generator.state
+        with pytest.raises(ValueError, match="at least one noise variance"):
+            generate_received(cfg, sigs, gains, symbols, np.random.default_rng(17), ())
 
     def test_traced_peak_at_desk_dimensions(self):
         # the windows are built in the returned block: no chip copy, no
@@ -488,7 +500,7 @@ def _frozen_desk_run(seed, n):
     cfg, noise_var = _FROZEN_DESK, _FROZEN_DESK.noise_variance
     rng = np.random.default_rng(seed)
     signatures = generate_signatures(cfg.n_users, cfg.n_chips, rng)
-    channel = ClarkeChannel(cfg.n_paths, cfg.doppler, rng, profile_db=cfg.path_profile_db)
+    channel = ClarkeChannel(cfg.n_paths, cfg.doppler, rng)
     symbols = qpsk_symbols(rng, cfg.n_users, n)
     gains = channel.run(n)
     (received,) = generate_received(cfg, signatures, gains, symbols, rng, (noise_var,))

@@ -124,7 +124,7 @@ class TestJidfStep:
         rng = np.random.default_rng(6)
         r = _random_complex(rng, 6)
         d = 1 - 2j
-        r_bar = f._forward(f._input(r), d).r_bar
+        _, _, _, r_bar, _ = f._forward(f._input(r), d)
         res = f.step(r, d)
         assert res.y == 0
         assert res.e == d
@@ -175,8 +175,7 @@ class TestJidfStep:
         d = complex(*rng.standard_normal(2))
         hankel = build_hankel(r, f.num_taps, f.interp_len)
         v0, w0 = f.v.copy(), f.w_bar.copy()
-        fwd = f._forward(f._input(r), d)
-        b, e, r_bar = fwd.b_opt, fwd.e, fwd.r_bar
+        _, e, b, r_bar, _ = f._forward(f._input(r), d)
         u = hankel[f.patterns[b]].T @ np.conj(w0)
         f.step(r, d)
         assert_allclose(f.v, v0 + f.eta * np.conj(e) * u, atol=1e-14)
@@ -313,9 +312,9 @@ class TestGradientDirections:
             r = _random_complex(rng, f.num_taps)
             d = complex(*rng.standard_normal(2))
             hankel = build_hankel(r, f.num_taps, f.interp_len)
-            fwd = f._forward(f._input(r), d)  # the gradients the commit applies
-            e, r_bar, u = fwd.e, fwd.r_bar, fwd.u
-            idx = f.patterns[fwd.b_opt]
+            # the gradients the commit applies
+            _, e, b_opt, r_bar, u = f._forward(f._input(r), d)
+            idx = f.patterns[b_opt]
 
             def fd_grad(base, update_other, which):
                 grads = np.zeros(base.size, dtype=complex)

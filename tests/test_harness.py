@@ -7,6 +7,7 @@ import dataclasses
 import math
 import multiprocessing
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -209,6 +210,22 @@ combiners: {mu_c: 0.25}
             with pytest.raises(ConfigError, match="u_max must be positive"):
                 tiny_config(scheme, u_max=u_max).validate()
 
+    # fields a library caller sets to a wrong type, and the key each error names
+    @pytest.mark.parametrize("scheme,changes,key", [
+        ("scheme_b", {"combiners": None}, "combiners"),
+        ("scheme_b", {"combiners": 0.3}, "combiners"),
+        ("scheme_b", {"combiners": {"mu_c": "x"}}, "combiners.mu_c"),
+        ("scheme_b", {"combiners": {"mu_c": True}}, "combiners.mu_c"),
+        ("fullrank", {"branches": None}, "branches"),
+        ("fullrank", {"branches": [{"mu": 0.1}]}, "branches[0]"),
+        ("fullrank", {"cdma": {}}, "cdma"),
+        ("fullrank", {"seed": "1"}, "seed"),
+    ], ids=["combiners_none", "combiners_number", "mu_c_string", "mu_c_bool",
+            "branches_none", "branch_mapping", "cdma_mapping", "seed_string"])
+    def test_wrong_types_are_config_errors(self, scheme, changes, key):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be "):
+            tiny_config(scheme, **changes).validate()
+
     def test_null_sections_take_the_defaults(self):
         cfg = config_from_dict({"scheme": "mmse", "branches": None, "combiners": None})
         assert cfg.branches == [] and cfg.combiners == {}
@@ -274,7 +291,7 @@ _FUZZ_BASE = {
     "train_mode": "semi", "train_symbols": 10, "n_branches": 2, "u_max": 4.0,
     "out": "o.csv",
     "cdma": {"users": 2, "chips": 8, "paths": 3, "snr_db": 12.0, "doppler": 1e-3,
-             "amplitudes": [1.0, 0.5], "path_profile_db": [0.0, -3.0, -9.0]},
+             "amplitudes": [1.0, 0.5]},
     "branches": [{"rank": 2, "interp_len": 2, "eta": 0.01, "mu": 0.1},
                  {"rank": 5, "interp_len": 3, "eta": 0.005, "mu": 0.02}],
     "combiners": {"mu_c": 0.25},
@@ -862,18 +879,13 @@ _NON_FINITE = {
     "branch_eta_nan": lambda c: c["branches"][1].update(eta=math.nan),
     "mu_c_nan": lambda c: c.update(combiners={"mu_c": math.nan}),
 }
-# amplitude and path-profile edits, applied to configs/mmse.yaml and
-# configs/scheme_b.yaml; the MMSE covariance weights are amplitudes**2
+# amplitude edits, applied to configs/mmse.yaml and configs/scheme_b.yaml;
+# the MMSE covariance weights are amplitudes**2
 _BAD_CDMA = {
     "desired_amplitude_nan": lambda c: c["cdma"]["amplitudes"].__setitem__(0, math.nan),
     "interferer_amplitude_nan": lambda c: c["cdma"]["amplitudes"].__setitem__(3, math.nan),
     "desired_amplitude_inf": lambda c: c["cdma"]["amplitudes"].__setitem__(0, math.inf),
     "interferer_amplitude_inf": lambda c: c["cdma"]["amplitudes"].__setitem__(3, math.inf),
-    "path_profile_empty": lambda c: c["cdma"].update(path_profile_db=[]),
-    "path_profile_nan": lambda c: c["cdma"].update(path_profile_db=[0.0, math.nan, -9.0]),
-    "path_profile_inf": lambda c: c["cdma"].update(path_profile_db=[0.0, -3.0, -math.inf]),
-    "path_profile_overflow": lambda c: c["cdma"].update(path_profile_db=[0.0, 4000.0]),
-    "path_profile_underflow": lambda c: c["cdma"].update(path_profile_db=[-4000.0, -4000.0]),
 }
 # values that do not convert to the key's type: (edit, key named in the error)
 _UNCONVERTIBLE = {
@@ -915,6 +927,17 @@ class TestCliRejectsBadValues:
         cfg = self._edited(tmp_path, edit, config)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 1
         assert capsys.readouterr().err.startswith("error: cdma section: ")
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("config", ["mmse.yaml", "scheme_b.yaml"])
+    def test_path_profile_is_not_a_key(self, tmp_path, capsys, config):
+        # the channel's 0 / -3 / -9 dB profile is fixed (cdma.PATH_PROFILE_DB)
+        cfg = self._edited(
+            tmp_path, lambda c: c["cdma"].update(path_profile_db=[0.0, -3.0, -9.0]), config
+        )
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown cdma keys: ['path_profile_db']")
         assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize(

@@ -93,9 +93,39 @@ class TestDecimationPatterns:
             assert len(seen) == b
 
     def test_rejects_overfull_bank(self):
-        # stride 2, rank 4: offsets past m - (rank-1)*stride collide or leave
+        # rank 4 fits at most 8 - 4 + 1 = 5 branches in an 8-sample window
+        with pytest.raises(ValueError, match="6 branches of rank 4 do not fit"):
+            generate_decimation_patterns(8, 4, 6)
+
+    def test_stride_shortens_only_where_the_bank_would_not_fit(self):
+        # every (M, B, D) with M <= 80: where the full stride M // D fits
+        # (the last branch's last index B - 1 + (D - 1) M // D is inside the
+        # window) it is kept; every other D <= M - B + 1 fits with a shorter
+        # stride; D > M - B + 1 is refused
+        kept = shortened = 0
+        for m in range(1, 81):
+            for d in range(1, m + 1):
+                for b in range(1, m - d + 2):
+                    pats = generate_decimation_patterns(m, d, b)
+                    assert pats.shape == (b, d) and pats[-1, -1] < m
+                    stride = pats[0, 1] - pats[0, 0] if d > 1 else m
+                    assert stride >= 1
+                    if b - 1 + (d - 1) * (m // d) < m:
+                        assert stride == m // d
+                        kept += 1
+                    else:
+                        shortened += 1
+                with pytest.raises(ValueError, match="do not fit"):
+                    generate_decimation_patterns(m, d, m - d + 2)
+        assert (kept, shortened) == (43132, 45428)
+
+    def test_desk_window_takes_every_rank_that_fits(self):
+        # M = 40, B = 8: the full stride refused ranks 8, 10, 12, 13 and 18-20
+        for d in range(1, 34):
+            assert generate_decimation_patterns(40, d, 8).shape == (8, d)
+        assert generate_decimation_patterns(40, 8, 8)[0].tolist() == list(range(0, 32, 4))
         with pytest.raises(ValueError):
-            generate_decimation_patterns(8, 4, 3)
+            generate_decimation_patterns(40, 34, 8)
 
     def test_rejects_bad_rank(self):
         with pytest.raises(ValueError):
