@@ -34,6 +34,7 @@ from .signalcore import _window
 SQRT2 = float(np.sqrt(2.0))
 N_OSCILLATORS = 16  # sinusoids per fading path
 PATH_PROFILE_DB = (0.0, -3.0, -9.0)  # power of each active path, in dB
+_SLICE = 128  # symbols per slice of the received signal's elementwise build
 
 
 @dataclass
@@ -56,6 +57,16 @@ class CdmaConfig:
     amplitudes: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        # kinds first: a wrong-typed field is a ValueError that names it
+        for name in ("n_users", "n_chips", "n_paths"):
+            _check_kind(getattr(self, name), name, int)
+        for name in ("snr_db", "doppler"):
+            _check_kind(getattr(self, name), name, float)
+        if self.amplitudes is not None:
+            if not isinstance(self.amplitudes, (list, tuple)):
+                raise ValueError(f"amplitudes must be a list of numbers, got {self.amplitudes!r}")
+            for i, a in enumerate(self.amplitudes):
+                _check_kind(a, f"amplitudes[{i}]", float)
         if self.n_users < 1 or self.n_chips < 1 or self.n_paths < 1:
             raise ValueError("n_users, n_chips and n_paths must be >= 1")
         # n_users > 2**n_chips, without building a huge power of two
@@ -95,6 +106,16 @@ class CdmaConfig:
     def noise_variance(self) -> float:
         """Per-sample complex noise variance implied by ``snr_db``."""
         return float(self.amplitudes[0] ** 2 * 10.0 ** (-self.snr_db / 10.0))
+
+
+def _check_kind(value, name: str, kind: type) -> None:
+    """Raise a ``ValueError`` naming ``name`` unless ``value`` is an integer
+    (``kind`` int) or a number (``kind`` float, which an integer also is);
+    booleans are neither."""
+    allowed = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 def generate_signatures(n_users: int, n_chips: int, rng: np.random.Generator) -> np.ndarray:
@@ -250,6 +271,9 @@ def generate_received(
     for bit what a call with that variance alone would return from the same
     generator state.  The signal is built in block 0's planes, the blocks
     after it are formed from them, and block 0 adds its own noise last.
+    Each noise plane is used as soon as it is drawn and scaled in place for
+    block 0, and the signal is built in slices of symbols, so the call needs
+    little memory beyond the returned array (a unit of runs holds several).
     """
     sigs = np.asarray(signatures, dtype=np.float64)
     gains = np.asarray(path_gains, dtype=np.complex128)
@@ -266,13 +290,16 @@ def generate_received(
 
     shape = (n_symbols, cfg.window_len)
     received = np.zeros((len(noise_vars), *shape), dtype=np.complex128)
-    signal_re, signal_im = _noiseless_planes(cfg, sigs, gains, b, received[0])
-    noise_re = rng.standard_normal(shape)
-    noise_im = rng.standard_normal(shape)
-    for k in (*range(1, len(noise_vars)), 0):  # block 0's planes are the signal
-        scale = np.sqrt(noise_vars[k] / 2.0)
-        received[k].real = signal_re + scale * noise_re
-        received[k].imag = signal_im + scale * noise_im
+    planes = _noiseless_planes(cfg, sigs, gains, b, received[0])
+    for part, signal in zip(("real", "imag"), planes):
+        noise = rng.standard_normal(shape)
+        for k in range(1, len(noise_vars)):  # block 0's planes are the signal
+            plane = getattr(received[k], part)
+            np.multiply(np.sqrt(noise_vars[k] / 2.0), noise, out=plane)
+            plane += signal
+        noise *= np.sqrt(noise_vars[0] / 2.0)
+        signal += noise
+        del noise  # before the next plane is drawn
     return received
 
 
@@ -287,19 +314,25 @@ def _noiseless_planes(
 
     stream = np.zeros(n_symbols * n_chips + 2 * pad, dtype=np.complex128)
     chips = stream[pad : pad + n_symbols * n_chips].reshape(n_symbols, n_chips)
-    for k in range(cfg.n_users):
-        chips += (cfg.amplitudes[k] * b[k])[:, None] * sigs[k][None, :]
-
     windows = np.lib.stride_tricks.sliding_window_view(stream, cfg.window_len)
     signal_re, signal_im = block.real, block.imag
-    for path in np.flatnonzero((gains != 0).any(axis=0)):
+    paths = np.flatnonzero((gains != 0).any(axis=0))
+    # elementwise work in slices of symbols: the temporaries stay small and
+    # every value is computed as it would be in one piece
+    slices = [slice(lo, lo + _SLICE) for lo in range(0, n_symbols, _SLICE)]
+    for k in range(cfg.n_users):
+        a = cfg.amplitudes[k] * b[k]
+        for s in slices:
+            chips[s] += a[s, None] * sigs[k][None, :]
+    for path in paths:
         g = gains[:, path][:, None]
         w = windows[pad - path :: n_chips][:n_symbols]
-        # split-plane product: the vectorized complex-multiply loop may fuse
-        # operations and round differently from scalar arithmetic, which
-        # would break the bit-level reproducibility promised above
-        signal_re += g.real * w.real - g.imag * w.imag
-        signal_im += g.real * w.imag + g.imag * w.real
+        for s in slices:
+            # split-plane product: the vectorized complex-multiply loop may
+            # fuse operations and round differently from scalar arithmetic,
+            # which would break the bit-level reproducibility promised above
+            signal_re[s] += g[s].real * w[s].real - g[s].imag * w[s].imag
+            signal_im[s] += g[s].real * w[s].imag + g[s].imag * w[s].real
     return signal_re, signal_im
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -95,6 +96,14 @@ class MixTree:
     :class:`Combiner` of entry ``k``; a step reports its mixing value as
     ``lambdas[k]`` of the :class:`StepResult`.  Scheme A's nodes a, b, c
     are entries 0, 1, 2.
+
+    A tree has the lanes of its constituents, which must all have the same
+    (``lanes``, see :mod:`rrfilt.filters`).  A tree of L lanes is L
+    independent trees: each lane has its own nodes, lane-major in
+    ``combiners``, and its step result.  Constituents of one shape are
+    joined into one bank, so a step advances every lane of every
+    same-shape constituent in one call; the mixing nodes run per lane, on
+    Python numbers.
     """
 
     NODES: tuple[tuple[int, int], ...] = ()
@@ -110,10 +119,30 @@ class MixTree:
             raise ValueError(f"{name} takes exactly {n_nodes} node step sizes, got {len(mus)}")
         if len({f.num_taps for f in filters}) != 1:
             raise ValueError("constituents must share the window length")
+        if len({f.lanes for f in filters}) != 1:
+            raise ValueError("constituents must share their lanes")
         self.filters = filters
-        self.combiners = [Combiner(mu, u_max=u_max) for mu in mus]
-        # (combiner, left value index, right value index)
-        self.nodes = [(c, *node) for c, node in zip(self.combiners, self.NODES)]
+        self.lanes = filters[0].lanes
+        n = filters[0].n_lanes
+        self.combiners = [Combiner(mu, u_max=u_max) for _ in range(n) for mu in mus]
+        # each lane's (combiner, left value index, right value index)
+        self._nodes = [
+            [(c, *node) for c, node in zip(self.combiners[k * n_nodes:], self.NODES)]
+            for k in range(n)
+        ]
+        # one (bank, member count) per shape; with the banks' lanes laid end
+        # to end, constituent k's lanes start at first[k], and lane t's
+        # getter picks its constituents' values, in order
+        shapes: dict = {}
+        for k, f in enumerate(filters):
+            shapes.setdefault((type(f), f._shape), []).append(k)
+        self._banks, first, start = [], [0] * len(filters), 0
+        for ks in shapes.values():
+            for j, k in enumerate(ks):
+                first[k] = start + j * n
+            start += len(ks) * n
+            self._banks.append((type(filters[ks[0]])._join([filters[k] for k in ks]), len(ks)))
+        self._lane_values = [itemgetter(*(f + t for f in first)) for t in range(n)]
 
     @property
     def num_taps(self) -> int:
@@ -121,50 +150,81 @@ class MixTree:
 
     @property
     def ops(self) -> tuple[int, int]:
-        """Real additions and multiplications per step: the constituents'
-        ``ops`` summed, plus ``NODE_OPS`` for each node."""
+        """Real additions and multiplications per step of one lane: the
+        constituents' ``ops`` summed, plus ``NODE_OPS`` for each node."""
         counts = [f.ops for f in self.filters] + [self.NODE_OPS] * len(self.NODES)
         return sum(c[0] for c in counts), sum(c[1] for c in counts)
 
-    def predict(self, r) -> complex:
-        return self._mix([f.predict(r) for f in self.filters])
+    def predict(self, r):
+        values = self._end_to_end(
+            [bank._predict(x) for (bank, _), x in zip(self._banks, self._inputs(r))]
+        )
+        out = [self._mix(list(lane(values)), nodes)
+               for lane, nodes in zip(self._lane_values, self._nodes)]
+        return out if self.lanes else out[0]
 
     def equivalent(self) -> np.ndarray:
         """Window-length filter equivalent to the tree at its constituents'
         last selected branches: ``equivalent()^H r == predict(r)``."""
-        return self._mix([f.equivalent() for f in self.filters])
+        eqs = [f.equivalent() for f in self.filters]
+        if not self.lanes:
+            return self._mix(eqs, self._nodes[0])
+        return np.array([self._mix([e[t] for e in eqs], nodes)
+                         for t, nodes in enumerate(self._nodes)])
 
-    def _mix(self, values: list):
+    @staticmethod
+    def _mix(values: list, nodes):
         # mixing values are real, so mixing filters mixes their outputs
-        for c, i, j in self.nodes:
+        for c, i, j in nodes:
             lam = c.mixing
             values.append(lam * values[i] + (1.0 - lam) * values[j])
         return values[-1]
 
-    def step(self, r, d) -> StepResult:
+    def _inputs(self, r) -> list:
+        """Every bank's prepared input: the tree's windows, once per member."""
+        windows = list(r) if self.lanes else [r]
+        return [bank._input(windows * k) for bank, k in self._banks]
+
+    @staticmethod
+    def _end_to_end(per_bank) -> list:
+        """The banks' per-lane values as one list, banks end to end."""
+        out = []
+        for values in per_bank:
+            out += values.tolist()
+        return out
+
+    def step(self, r, d):
         # plain loops, not comprehensions: this runs once per symbol
-        filters = self.filters
-        xs = []
-        for f in filters:
-            xs.append(f._input(r))
+        xs = self._inputs(r)
         if callable(d):
-            ys = []
-            for f, x in zip(filters, xs):
-                ys.append(f._predict(x))
-            d = d(self._mix(ys))
-        d = complex(d)
-        ys, branches, lambdas = [], [], []
-        for f, x in zip(filters, xs):
-            res = f._step(x, d)
-            ys.append(res.y)
-            branches += res.branches
-        for c, i, j in self.nodes:
-            lam = c.mixing
-            lambdas.append(lam)
-            ys.append(lam * ys[i] + (1.0 - lam) * ys[j])
-            c.update(ys[i], ys[j], d - ys[-1], lam)
-        y = ys[-1]
-        return StepResult(y, d - y, tuple(branches), tuple(lambdas))
+            values = self._end_to_end([bank._predict(x) for (bank, _), x in zip(self._banks, xs)])
+            ds = []
+            for lane, nodes in zip(self._lane_values, self._nodes):
+                ds.append(complex(d(self._mix(list(lane(values)), nodes))))
+        elif self.lanes:
+            ds = [complex(v) for v in d]
+        else:
+            ds = [complex(d)]
+        outs, picks = [], []
+        for (bank, k), x in zip(self._banks, xs):
+            y, _, b = bank._step(x, np.array(ds * k))
+            outs += y.tolist()
+            if b is not None:
+                picks += b.tolist()
+        results = []
+        for lane, nodes, dt in zip(self._lane_values, self._nodes, ds):
+            ys = list(lane(outs))
+            lambdas = []
+            for c, i, j in nodes:
+                lam = c.mixing
+                lambdas.append(lam)
+                ys.append(lam * ys[i] + (1.0 - lam) * ys[j])
+                c.update(ys[i], ys[j], dt - ys[-1], lam)
+            y = ys[-1]
+            results.append(
+                StepResult(y, dt - y, lane(picks) if picks else (), tuple(lambdas))
+            )
+        return results if self.lanes else results[0]
 
 
 # The three schemes fix their node tables.  Each keeps ``step`` and

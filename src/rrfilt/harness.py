@@ -5,10 +5,12 @@ receiver scheme, averaging per-symbol statistics over independent seeded
 runs (run ``i`` uses generator seed ``base_seed + i``, so results are
 reproducible bit for bit and independent of how many runs execute in
 parallel).  ``run_experiment`` and ``snr_sweep`` share one Monte-Carlo
-engine: one work unit per run index runs that run at every SNR point from
-one draw of its signal and noise (common random numbers), at most one
-process pool serves the whole call, and each point's runs are reduced in
-index order.  Supported schemes:
+engine: a work unit of consecutive runs (two for one point, one for a
+sweep: ``BLOCKS_PER_UNIT``) draws each run's signal and noise once and runs
+it at every SNR point (common random numbers), every (run, point) pair a
+lane of one bank that steps all lanes one symbol per numpy call; at most
+one process pool serves the whole call, and each point's runs are reduced
+in index order.  Supported schemes:
 
 ==============  ==============================================================
 ``fullrank``    single LMS filter over the whole window
@@ -44,6 +46,7 @@ sweep.
 from __future__ import annotations
 
 import argparse
+import array
 import cmath
 import csv
 import ctypes
@@ -68,7 +71,7 @@ from .cdma import (
     qpsk_symbols,
 )
 from .combiners import Clms, Combiner, SchemeA, SchemeB
-from .filters import FullRankLms, JidfFilter
+from .filters import FullRankLms, JidfFilter, StepResult
 
 
 class _Scheme(NamedTuple):
@@ -86,6 +89,11 @@ _SCHEMES = {
     "mmse": _Scheme(None),
 }
 SCHEMES = tuple(_SCHEMES)
+# Received blocks a work unit may hold: one per run and point (0.96 MB at
+# desk size), for the unit's whole loop.  Wider units step more lanes per
+# numpy call; the README has the measured trade.  A one-point call runs two
+# runs per unit, a sweep one run at all its points.
+BLOCKS_PER_UNIT = 2
 # step size of a mixing node whose mu_<node> the config leaves out
 _NODE_MU = 0.25
 
@@ -210,7 +218,7 @@ class ExperimentRecord:
     of the scheme output.  ``lambdas[i, k]`` is the run-averaged mixing
     value of the scheme's node ``k`` (``(n_symbols, 0)`` without nodes);
     branch statistics are ``None`` for schemes that do not have them.  Runs
-    that diverge (see :func:`_run_point`) are excluded from every average
+    that diverge (see :func:`_run_lanes`) are excluded from every average
     and counted.
     ``wall_time`` is the elapsed seconds of the call that produced the
     record: for a sweep, the whole sweep.
@@ -368,26 +376,44 @@ def load_config(path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def _build_scheme(cfg: ExperimentConfig, signatures=None, gains=None, noise_var=None):
-    """A fresh instance of the configured scheme: one filter, a mixing tree
-    whose nodes take their ``mu_<node>`` step sizes, or the MMSE receiver
-    bound to one run's signatures and channel gains and one noise variance
-    (only the receiver reads those three)."""
+def _build_scheme(cfg: ExperimentConfig, draws=None):
+    """A fresh instance of the configured scheme: one filter, or a mixing
+    tree whose nodes take their ``mu_<node>`` step sizes.  ``draws`` holds
+    one run's ``(signatures, gains, noise_var)`` per lane: the scheme is
+    then a bank of that many lanes (see :mod:`rrfilt.filters`), and the MMSE
+    receiver, which needs the draws, is one receiver per lane."""
     spec = _SCHEMES[cfg.scheme]
     if spec.leaf is None:
-        return MmseReceiver(cfg.cdma, signatures, gains, noise_var)
+        return _Receivers([MmseReceiver(cfg.cdma, *draw) for draw in draws])
+
+    def per_lane(value):
+        return value if draws is None else [value] * len(draws)
+
     m = cfg.cdma.window_len
     if spec.leaf is JidfFilter:
         filters = [
-            JidfFilter(m, b.interp_len, b.rank, cfg.n_branches, b.eta, b.mu)
+            JidfFilter(m, b.interp_len, b.rank, cfg.n_branches, per_lane(b.eta), per_lane(b.mu))
             for b in cfg.branches
         ]
     else:
-        filters = [FullRankLms(m, b.mu) for b in cfg.branches]
+        filters = [FullRankLms(m, per_lane(b.mu)) for b in cfg.branches]
     if spec.tree is None:
         return filters[0]
     mus = [cfg.combiners.get(f"mu_{node}", _NODE_MU) for node in spec.nodes]
     return spec.tree(filters, mus, u_max=cfg.u_max)
+
+
+class _Receivers:
+    """MMSE receivers, one per lane, behind a bank's ``step``: a receiver
+    does not adapt, so its lanes share no arithmetic (one solve per lane and
+    symbol)."""
+
+    def __init__(self, receivers: list[MmseReceiver]):
+        self.receivers = receivers
+
+    def step(self, r, d) -> list[StepResult]:
+        ds = [d] * len(self.receivers) if callable(d) else d
+        return [rx.step(w, v) for rx, w, v in zip(self.receivers, r, ds)]
 
 
 def complexity_report(cfg: ExperimentConfig) -> tuple[int, int] | None:
@@ -395,6 +421,11 @@ def complexity_report(cfg: ExperimentConfig) -> tuple[int, int] | None:
     (validated first), as its filters count them (``ops``); ``None`` for the
     MMSE receiver, which does not adapt."""
     cfg.validate()
+    return _complexity(cfg)
+
+
+def _complexity(cfg: ExperimentConfig) -> tuple[int, int] | None:
+    """:func:`complexity_report` of a config already validated."""
     if _SCHEMES[cfg.scheme].leaf is None:
         return None
     return _build_scheme(cfg).ops
@@ -414,65 +445,93 @@ class _RunResult:
 
 
 def _single_run(
-    cfg: ExperimentConfig, noise_vars: tuple[float, ...], run_idx: int
-) -> list[_RunResult]:
-    """Run ``run_idx`` at each noise variance in turn, one result each.
+    cfg: ExperimentConfig, noise_vars: tuple[float, ...], runs: range
+) -> list[list[_RunResult]]:
+    """One work unit: each run of ``runs`` (consecutive run indices) at each
+    noise variance; one list per run, one result per point.
 
-    The run's signatures, channel, symbols and noise are drawn once, from the
-    generator seeded ``cfg.seed + run_idx``; the points differ only in the
-    noise scale, and each starts from a freshly built scheme.
+    Each run's signatures, channel, symbols and noise are drawn once, from
+    the generator seeded ``cfg.seed + i``, as the run alone would draw them;
+    its points differ only in the noise scale.  Every (run, point) pair is
+    one lane of one freshly built scheme (:func:`_run_lanes`).
     """
-    rng = np.random.default_rng(cfg.seed + run_idx)
     cdma = cfg.cdma
-    signatures = generate_signatures(cdma.n_users, cdma.n_chips, rng)
-    channel = ClarkeChannel(cdma.n_paths, cdma.doppler, rng)
-    symbols = qpsk_symbols(rng, cdma.n_users, cfg.n_symbols)
-    gains = channel.run(cfg.n_symbols)
-    received = generate_received(cdma, signatures, gains, symbols, rng, noise_vars)
-    return [
-        _run_point(cfg, symbols[0], block, _build_scheme(cfg, signatures, gains, noise_var))
-        for block, noise_var in zip(received, noise_vars)
-    ]
+    draws, blocks, desired = [], [], []
+    for i in runs:
+        rng = np.random.default_rng(cfg.seed + i)
+        signatures = generate_signatures(cdma.n_users, cdma.n_chips, rng)
+        channel = ClarkeChannel(cdma.n_paths, cdma.doppler, rng)
+        symbols = qpsk_symbols(rng, cdma.n_users, cfg.n_symbols)
+        gains = channel.run(cfg.n_symbols)
+        received = generate_received(cdma, signatures, gains, symbols, rng, noise_vars)
+        want = symbols[0].tolist()
+        for block, noise_var in zip(received, noise_vars):
+            draws.append((signatures, gains, noise_var))
+            blocks.append(block)
+            desired.append(want)
+    scheme = _build_scheme(cfg, draws)
+    del draws, received  # the scheme holds what it needs
+    results = _run_lanes(cfg, blocks, desired, scheme)
+    k = len(noise_vars)
+    return [results[j : j + k] for j in range(0, len(results), k)]
 
 
-def _run_point(cfg, desired_user, received, scheme) -> _RunResult:
-    """One run's symbol loop at one noise variance, through ``scheme``.  The
-    run diverges, and stops, at its first symbol whose output or squared
-    error is not finite (overflow is expected for aggressive step sizes)."""
+def _run_lanes(cfg, blocks, desired, scheme) -> list[_RunResult]:
+    """The symbol loop of every lane, through the bank ``scheme``: lane
+    ``t`` filters the received windows ``blocks[t]`` toward the desired
+    user's symbols ``desired[t]``.  Empties ``blocks`` when the loop ends.
+
+    A lane diverges at its first symbol whose output or squared error is not
+    finite (overflow is expected for aggressive step sizes); its record
+    stops there, while its bank lane runs on beside the others, which it
+    cannot reach.  The loop ends when every lane has diverged."""
     n = cfg.n_symbols
     supervised_until = n if cfg.train_mode == "supervised" else cfg.train_symbols
-    # per-symbol bookkeeping in lists, made arrays once per run
-    errors, sq_err, lambdas, b_opt, picks = [], [], [], [], []
-    diverged = False
+    n_lanes = len(blocks)
+    # per-symbol bookkeeping in typed buffers (8 bytes a value at most),
+    # made arrays once per lane
+    errors, sq_err, lambdas, b_opt, picks = (
+        [array.array(code) for _ in blocks] for code in "Bddqq"
+    )
+    live = list(range(n_lanes))
 
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n):
+            windows = [block[i] for block in blocks]
             # past training, the scheme decides on its own output
-            res = scheme.step(
-                received[i], desired_user[i] if i < supervised_until else detect_qpsk
-            )
-            y = res.y
-            err_sq = float(np.abs(np.complex128(res.e)) ** 2)
-            if not (cmath.isfinite(y) and math.isfinite(err_sq)):
-                diverged = True
+            d = [want[i] for want in desired] if i < supervised_until else detect_qpsk
+            results = scheme.step(windows, d)
+            for t in live.copy():
+                res = results[t]
+                y = res.y
+                err_sq = float(np.abs(np.complex128(res.e)) ** 2)
+                if not (cmath.isfinite(y) and math.isfinite(err_sq)):
+                    live.remove(t)
+                    continue
+                errors[t].append(detect_qpsk(y) != desired[t][i])
+                sq_err[t].append(err_sq)
+                lambdas[t].extend(res.lambdas)
+                if res.branches:
+                    b_opt[t].append(res.branches[0])
+                    picks[t].extend(res.branches)
+            if not live:
                 break
-            errors.append(detect_qpsk(y) != desired_user[i])
-            sq_err.append(err_sq)
-            lambdas.append(res.lambdas)
-            if res.branches:
-                b_opt.append(res.branches[0])
-                picks.extend(res.branches)
+    blocks.clear()  # the windows are done with before the records are made
 
-    return _RunResult(
-        errors=np.array(errors, dtype=np.uint8),
-        sq_err=np.array(sq_err, dtype=np.float64),
-        lambdas=np.array(lambdas),
-        b_opt=np.array(b_opt, dtype=np.int64),
-        branch_hist=np.bincount(
-            np.array(picks, dtype=np.int64), minlength=cfg.n_branches
-        ),
-        diverged=diverged,
-    )
+    n_nodes = len(_SCHEMES[cfg.scheme].nodes)
+    return [
+        _RunResult(
+            errors=np.array(errors[t], dtype=np.uint8),
+            sq_err=np.array(sq_err[t], dtype=np.float64),
+            lambdas=np.array(lambdas[t], dtype=np.float64).reshape(len(sq_err[t]), n_nodes),
+            b_opt=np.array(b_opt[t], dtype=np.int64),
+            branch_hist=np.bincount(
+                np.array(picks[t], dtype=np.int64), minlength=cfg.n_branches
+            ),
+            diverged=t not in live,
+        )
+        for t in range(n_lanes)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +539,7 @@ def _run_point(cfg, desired_user, received, scheme) -> _RunResult:
 # ---------------------------------------------------------------------------
 
 
-def _worker_count(n_runs: int) -> int:
+def _worker_count(n_units: int) -> int:
     raw = os.environ.get("RRFILT_THREADS", "0")
     try:
         cap = int(raw)
@@ -491,7 +550,7 @@ def _worker_count(n_runs: int) -> int:
     workers = os.cpu_count() or 1
     if cap > 0:
         workers = min(workers, cap)
-    return max(1, min(workers, n_runs))
+    return max(1, min(workers, n_units))
 
 
 def _one_blas_thread() -> None:
@@ -519,14 +578,19 @@ def _monte_carlo(points: list[ExperimentConfig]) -> list[ExperimentRecord]:
     """Run and reduce every point of ``points``, configs that differ at most
     in ``cdma.snr_db``; one record per point, in order.
 
-    Every point is validated before any work starts.  One work unit per run
-    index runs that run at every point (:func:`_single_run`).  With more
-    than one worker and more than one run, the units go to one process pool
-    for the whole call, whose workers run BLAS on one thread
-    (:func:`_one_blas_thread`); otherwise they run in order in this process.  Each
-    point's runs are reduced in index order, so the records do not depend on
-    the worker count, and each is bit for bit the record of that point alone.
-    Every record's ``wall_time`` is the elapsed time of the whole call.
+    Every point is validated before any work starts.  The runs go in work
+    units of consecutive indices, as many as keep the unit's received blocks
+    (one per run and point) within ``BLOCKS_PER_UNIT``, and at least one; a
+    unit runs its runs at every point as one bank of lanes
+    (:func:`_single_run`).  With
+    more than one worker and more than one unit, the units go to one process
+    pool for the whole call, whose workers run BLAS on one thread
+    (:func:`_one_blas_thread`); otherwise they run in order in this process.
+    A lane's arithmetic does not depend on its bank, and each point's runs
+    are reduced in index order, so the records do not depend on the worker
+    count or the unit size, and each is bit for bit the record of that point
+    alone.  Every record's ``wall_time`` and ``complexity`` are taken once
+    for the whole call.
     """
     for point in points:
         point.validate()
@@ -535,28 +599,31 @@ def _monte_carlo(points: list[ExperimentConfig]) -> list[ExperimentRecord]:
     t0 = time.perf_counter()
     cfg = points[0]
     noise_vars = tuple(point.cdma.noise_variance for point in points)
-    n_runs = cfg.n_runs
-    workers = _worker_count(n_runs)
-    if workers > 1 and n_runs > 1:
+    per_unit = max(1, BLOCKS_PER_UNIT // len(points))
+    units = [range(i, min(i + per_unit, cfg.n_runs)) for i in range(0, cfg.n_runs, per_unit)]
+    n_units = len(units)
+    workers = _worker_count(n_units)
+    if workers > 1 and n_units > 1:
         # imported here: multiprocessing loads only when a pool starts
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
-            runs = list(
-                pool.map(_single_run, [cfg] * n_runs, [noise_vars] * n_runs, range(n_runs))
-            )
+            done = list(pool.map(_single_run, [cfg] * n_units, [noise_vars] * n_units, units))
     else:
-        runs = [_single_run(cfg, noise_vars, i) for i in range(n_runs)]
+        done = [_single_run(cfg, noise_vars, unit) for unit in units]
+    runs = [run for unit in done for run in unit]
     records = [_reduce(point, [run[k] for run in runs]) for k, point in enumerate(points)]
     wall_time = time.perf_counter() - t0
+    complexity = _complexity(cfg)
     for record in records:
         record.wall_time = wall_time
+        record.complexity = complexity
     return records
 
 
 def _reduce(cfg: ExperimentConfig, runs: list[_RunResult]) -> ExperimentRecord:
     """Aggregate one point's runs, given in run-index order (``wall_time``
-    is left for the caller)."""
+    and ``complexity`` are left for the caller)."""
     good = [r for r in runs if not r.diverged]
     diverged = cfg.n_runs - len(good)
     n = cfg.n_symbols
@@ -601,7 +668,7 @@ def _reduce(cfg: ExperimentConfig, runs: list[_RunResult]) -> ExperimentRecord:
         per_run_ber=per_run,
         final_ber=float(cumulative[-1]) if n else float("nan"),
         wall_time=math.nan,
-        complexity=complexity_report(cfg),
+        complexity=None,
     )
 
 

@@ -49,11 +49,13 @@ def build_hankel(samples, num_taps: int, interp_len: int) -> NDArray[np.complex1
     return buf[_hankel_index(num_taps, interp_len)]
 
 
-def _window(r, num_taps: int) -> NDArray[np.complex128]:
-    """``r`` as a complex vector, checked to hold exactly ``num_taps`` samples."""
+def _window(r, num_taps: int, lanes: tuple = ()) -> NDArray[np.complex128]:
+    """``r`` as a complex vector, checked to hold exactly ``num_taps``
+    samples; with ``lanes == (L,)``, as L such vectors."""
     r = np.asarray(r, dtype=np.complex128)
-    if r.shape != (num_taps,):
-        raise ValueError(f"expected a length-{num_taps} input vector")
+    if r.shape != lanes + (num_taps,):
+        per_lane = f" for each of {lanes[0]} lanes" if lanes else ""
+        raise ValueError(f"expected a length-{num_taps} input vector{per_lane}")
     return r
 
 

@@ -100,6 +100,17 @@ class TestSignatures:
         with pytest.raises(ValueError, match="distinct signatures"):
             CdmaConfig(n_users=2**40 + 1, n_chips=40, n_paths=1)
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("n_users", 2.5, "n_users must be an integer"),
+        ("n_chips", "8", "n_chips must be an integer"),
+        ("snr_db", "15", "snr_db must be a number"),
+        ("amplitudes", 1.0, "amplitudes must be a list"),
+    ])
+    def test_config_names_a_wrong_typed_field(self, field, value, message):
+        # a library caller's value, which no config file converted first
+        with pytest.raises(ValueError, match=message):
+            CdmaConfig(**{field: value})
+
 
 class TestConvolutionMatrix:
     def test_single_path_is_the_signature(self):

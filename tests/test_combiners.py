@@ -219,6 +219,14 @@ class TestSchemeB:
         assert_array_equal(f2.w_bar, solo2.w_bar)
         assert scheme.combiners[0].u == 0.0
 
+    def test_a_constituent_joins_one_tree_only(self):
+        # the tree holds its constituents' coefficients; a second tree over
+        # the same filter would step a copy the first no longer sees
+        f1, f2 = _jidf(8, 3, 2, 0.01, 0.05), _jidf(8, 3, 2, 0.01, 0.05)
+        SchemeB([f1, f2], [0.25])
+        with pytest.raises(ValueError, match="already joined"):
+            SchemeB([f1, _jidf(8, 3, 2, 0.01, 0.05)], [0.25])
+
     def test_requires_two_filters_of_one_size(self):
         with pytest.raises(ValueError):
             SchemeB([_jidf(8, 3, 2, 0.01, 0.05)], [0.25])

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from rrfilt.cdma import detect_qpsk
 from rrfilt.filters import FullRankLms, JidfFilter
 from rrfilt.signalcore import build_hankel
 
@@ -193,7 +196,9 @@ class TestPredict:
             f.last_b_opt = int(rng.integers(f.n_branches))
             r = _random_complex(rng, f.num_taps)
             rows = build_hankel(r, f.num_taps, f.interp_len)[f.patterns[f.last_b_opt]]
-            want = np.dot(np.dot(rows, np.conj(f.v)), np.conj(f.w_bar))
+            # np.matvec, as a bank's lanes form it: np.dot takes a length-1
+            # interpolator as a scale, which rounds differently
+            want = np.dot(np.matvec(rows, np.conj(f.v)), np.conj(f.w_bar))
             assert repr(f.predict(r)) == repr(complex(want))
 
 
@@ -370,3 +375,62 @@ class TestValidation:
             for call in calls:
                 with pytest.raises(ValueError, match="expected a length-6 input vector"):
                     call()
+
+
+class TestBanks:
+    """A bank of L lanes is L single filters: one bank step must give, bit
+    for bit, each lane's output, error and branch and leave each lane's
+    coefficients as L separate single-filter steps do, whatever the lane
+    count, the shape and the per-lane step sizes."""
+
+    @staticmethod
+    def _draw(data, rng, n_lanes):
+        """A bank and its lanes as single filters, in equal random states."""
+        m = data.draw(st.integers(1, 12), label="num_taps")
+        if data.draw(st.booleans(), label="full rank"):
+            mus = rng.uniform(0, 0.2, n_lanes)
+            bank = FullRankLms(m, mus)
+            singles = [FullRankLms(m, mu) for mu in mus]
+            for lane, f in enumerate(singles):
+                f.w = bank.w[lane] = _random_complex(rng, m)
+            return bank, singles
+        rank = data.draw(st.integers(1, m), label="rank")
+        n_branches = data.draw(st.integers(1, m - rank + 1), label="branches")
+        interp_len = data.draw(st.integers(1, m), label="interp_len")
+        etas, mus = rng.uniform(0, 0.05, n_lanes), rng.uniform(0, 0.2, n_lanes)
+        bank = JidfFilter(m, interp_len, rank, n_branches, etas, mus)
+        singles = [JidfFilter(m, interp_len, rank, n_branches, eta, mu)
+                   for eta, mu in zip(etas, mus)]
+        for lane, f in enumerate(singles):
+            f.v = bank.v[lane] = _random_complex(rng, interp_len)
+            f.w_bar = bank.w_bar[lane] = _random_complex(rng, rank)
+            f.last_b_opt = bank.last_b_opt[lane] = rng.integers(n_branches)
+        return bank, singles
+
+    @staticmethod
+    def _state(f, lane=...) -> tuple:
+        """A lane's coefficients as exact bytes (the whole of a single filter)."""
+        if isinstance(f, FullRankLms):
+            return (f.w[lane].tobytes(),)
+        return f.v[lane].tobytes(), f.w_bar[lane].tobytes(), int(f.last_b_opt[lane])
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_bank_step_equals_single_filter_steps(self, data):
+        n_lanes = data.draw(st.integers(1, 8), label="lanes")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        bank, singles = self._draw(data, rng, n_lanes)
+        assert bank.lanes == (n_lanes,)
+        for _ in range(3):
+            r = np.array([_random_complex(rng, bank.num_taps) for _ in range(n_lanes)])
+            assert repr(bank.predict(r)) == repr([f.predict(w) for f, w in zip(singles, r)])
+            if data.draw(st.booleans(), label="decision-directed"):
+                got = bank.step(r, detect_qpsk)
+                want = [f.step(w, detect_qpsk) for f, w in zip(singles, r)]
+            else:
+                d = _random_complex(rng, n_lanes)
+                got = bank.step(r, d)
+                want = [f.step(w, v) for f, w, v in zip(singles, r, d)]
+            assert repr(got) == repr(want)
+            for lane, f in enumerate(singles):
+                assert self._state(bank, lane) == self._state(f)

@@ -6,34 +6,52 @@ SHA-256 for each scheme in supervised and semi-supervised mode (the committed
 unchanged; a deliberate change of the numbers recaptures them with::
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden_records.json
+    PYTHONPATH=src python tests/test_golden.py summary > tests/golden_summary.json
 
 and says why in the change log.  The records go through BLAS products whose
 last bits depend on the numpy build, its BLAS and the CPU's vector units, so
 the file also keeps the platform the digests were captured on, and the
-comparison is skipped on any other platform.  The tolerance-based identity
-tests (c1, ``test_combiners``, ``test_filters``) are the portable guard.
+comparison is skipped on any other platform.
+
+The same 12 records also have a portable summary, checked on every platform:
+per-run error counts, the diverged count and the branch histogram exactly,
+and the MSE and mixing trajectories to ``SUMMARY_RTOL``.  A platform whose
+rounding flips a decision fails it; that is a finding to record, not a
+tolerance to widen.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
 import pathlib
 import platform
+import sys
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from rrfilt.harness import SCHEMES, ExperimentRecord, load_config, run_experiment
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 GOLDEN = pathlib.Path(__file__).with_name("golden_records.json")
+SUMMARY = pathlib.Path(__file__).with_name("golden_summary.json")
+# Moving every received sample of the 12 cases by one ulp (np.nextafter), the
+# size of one BLAS rounding difference, changed no count and moved the MSE
+# trajectories by at most 8.0e-15 and the mixing values by at most 4.2e-16,
+# relative.  Off the capture platform every product may round differently
+# on every one of the 300 symbols, so the bound leaves four orders of
+# magnitude above the one-ulp drift.
+SUMMARY_RTOL = 1e-10
 MODES = ("supervised", "semi")
 CASES = [f"{scheme}-{mode}" for scheme in SCHEMES for mode in MODES]
 
 
+@functools.lru_cache(maxsize=None)  # the digest and the summary tests share it
 def _record(case: str) -> ExperimentRecord:
     scheme, mode = case.rsplit("-", 1)
     cfg = load_config(CONFIGS / f"{scheme}.yaml")
@@ -78,6 +96,21 @@ def record_digests(record: ExperimentRecord) -> dict[str, str]:
     }
 
 
+def record_summary(record: ExperimentRecord) -> dict:
+    """Counts (compared exactly) and trajectories (compared to
+    ``SUMMARY_RTOL``) of a record."""
+    return {
+        "run_errors": [
+            None if np.isnan(ber) else round(ber * record.n_symbols)
+            for ber in record.per_run_ber.tolist()
+        ],
+        "diverged_runs": record.diverged_runs,
+        "branch_hist": None if record.branch_hist is None else record.branch_hist.tolist(),
+        "mse": record.mse.tolist(),
+        "lambdas": record.lambdas.tolist(),
+    }
+
+
 @pytest.fixture(scope="module")
 def golden():
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
@@ -97,7 +130,25 @@ def test_record_fields_are_bit_identical(case, golden, monkeypatch):
     assert not changed, f"{case}: fields changed bit-wise: {changed}"
 
 
+@pytest.mark.parametrize("case", CASES)
+def test_record_summary_holds_on_every_platform(case, monkeypatch):
+    monkeypatch.setenv("RRFILT_THREADS", "1")
+    want = json.loads(SUMMARY.read_text(encoding="utf-8"))["records"][case]
+    got = record_summary(_record(case))
+    for name in ("run_errors", "diverged_runs", "branch_hist"):
+        assert got[name] == want[name], f"{case}: {name} changed"
+    for name in ("mse", "lambdas"):
+        assert_allclose(np.array(got[name]), np.array(want[name]), rtol=SUMMARY_RTOL,
+                        atol=0, err_msg=f"{case}: {name}")
+
+
 if __name__ == "__main__":
     os.environ["RRFILT_THREADS"] = "1"
-    records = {c: record_digests(_record(c)) for c in CASES}
-    print(json.dumps({"platform": platform_fingerprint(), "records": records}, indent=1))
+    if sys.argv[1:] == ["summary"]:
+        # one line per case: the trajectories would take a line per value
+        lines = [f" {json.dumps(c)}: {json.dumps(record_summary(_record(c)))}" for c in CASES]
+        print('{"platform": %s,\n "records": {\n%s\n}}'
+              % (json.dumps(platform_fingerprint()), ",\n".join(lines)))
+    else:
+        records = {c: record_digests(_record(c)) for c in CASES}
+        print(json.dumps({"platform": platform_fingerprint(), "records": records}, indent=1))

@@ -590,7 +590,7 @@ def assert_same_record(got, want):
             assert repr(a) == repr(b), f.name
 
 
-def _failing_unit(cfg, noise_vars, run_idx):
+def _failing_unit(cfg, noise_vars, runs):
     raise RuntimeError("unit failed")
 
 
@@ -607,8 +607,49 @@ def _blas_threads():
     return None
 
 
-def _blas_threads_unit(cfg, noise_vars, run_idx):
-    return [_blas_threads()] * len(noise_vars)
+def _blas_threads_unit(cfg, noise_vars, runs):
+    return [[_blas_threads()] * len(noise_vars) for _ in runs]
+
+
+def assert_same_run(got, want):
+    """Every field of two runs' results equal bit for bit."""
+    for f in dataclasses.fields(harness._RunResult):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+        else:
+            assert a == b, f.name
+
+
+class TestWorkUnits:
+    """A work unit steps its runs at every point as lanes of one bank; a
+    run's results must not depend on the unit it runs in or its lane."""
+
+    @staticmethod
+    def _assert_unit_equals_runs_alone(cfg, noise_vars) -> list:
+        """Runs 0 and 1 at every point, as one unit (run 0 in the first
+        lanes, run 1 in the last), against each run at each point alone."""
+        unit = harness._single_run(cfg, noise_vars, range(0, 2))
+        for run, results in zip(range(2), unit, strict=True):
+            for point, noise_var in enumerate(noise_vars):
+                (alone,) = harness._single_run(cfg, (noise_var,), range(run, run + 1))[0]
+                assert_same_run(results[point], alone)
+        return unit
+
+    @pytest.mark.parametrize("mode", ["supervised", "semi"])
+    @pytest.mark.parametrize("scheme", harness.SCHEMES)
+    def test_a_run_is_the_same_alone_and_in_either_lane(self, scheme, mode):
+        cfg = tiny_config(scheme, train_mode=mode, train_symbols=20, n_symbols=50)
+        self._assert_unit_equals_runs_alone(
+            cfg, (cfg.cdma.noise_variance, 4 * cfg.cdma.noise_variance)
+        )
+
+    def test_a_diverged_lane_leaves_the_others(self):
+        # the second point's noise blows the filter up; the first point's
+        # lanes, which share the bank, must not notice
+        cfg = tiny_config("fullrank", branches=[BranchParams(mu=0.5)], n_symbols=200)
+        unit = self._assert_unit_equals_runs_alone(cfg, (cfg.cdma.noise_variance, 1e6))
+        assert [[r.diverged for r in results] for results in unit] == [[False, True]] * 2
 
 
 class TestMonteCarloEngine:
@@ -653,10 +694,12 @@ class TestMonteCarloEngine:
         monkeypatch.setenv("RRFILT_THREADS", "2")
         snr_sweep(tiny_config("scheme_b", n_runs=4), [6.0, 12.0, 18.0])
         assert pools == [2]
-        run_experiment(tiny_config("jidf", n_runs=2))
+        run_experiment(tiny_config("jidf", n_runs=3))  # two units
         assert pools == [2, 2]
-        # a single run, or a single worker, starts no pool
+        # a single work unit (at most two runs), or a single worker, starts
+        # no pool
         run_experiment(tiny_config("jidf", n_runs=1))
+        run_experiment(tiny_config("jidf", n_runs=2))
         snr_sweep(tiny_config("jidf", n_runs=1), [6.0, 12.0])
         monkeypatch.setenv("RRFILT_THREADS", "1")
         snr_sweep(tiny_config("jidf", n_runs=4), [6.0, 12.0])
@@ -675,14 +718,14 @@ class TestMonteCarloEngine:
 
     def test_no_worker_outlives_the_call(self, monkeypatch, pools):
         monkeypatch.setenv("RRFILT_THREADS", "2")
-        snr_sweep(tiny_config("jidf", n_runs=2), [6.0, 12.0])
+        snr_sweep(tiny_config("jidf", n_runs=3), [6.0, 12.0])
         assert multiprocessing.active_children() == []
         monkeypatch.setattr(harness, "_single_run", _failing_unit)
         with pytest.raises(RuntimeError, match="unit failed"):
-            snr_sweep(tiny_config("jidf", n_runs=2), [6.0, 12.0])
+            snr_sweep(tiny_config("jidf", n_runs=3), [6.0, 12.0])
         assert multiprocessing.active_children() == []
         with pytest.raises(RuntimeError, match="unit failed"):
-            run_experiment(tiny_config("jidf", n_runs=2))
+            run_experiment(tiny_config("jidf", n_runs=3))
         assert multiprocessing.active_children() == []
         assert pools == [2, 2, 2]
 
