@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,7 @@ from .signalcore import _window
 SQRT2 = float(np.sqrt(2.0))
 N_OSCILLATORS = 16  # sinusoids per fading path
 PATH_PROFILE_DB = (0.0, -3.0, -9.0)  # power of each active path, in dB
-_SLICE = 128  # symbols per slice of the received signal's elementwise build
+_SLICE = 128  # symbols per slice of the received windows
 
 
 @dataclass
@@ -249,9 +250,10 @@ def generate_received(
     symbols: np.ndarray,
     rng: np.random.Generator,
     noise_vars: tuple[float, ...],
-) -> np.ndarray:
+) -> Iterator[np.ndarray]:
     """Received observation windows for a block of symbols, at each of the
-    noise variances ``noise_vars`` (at least one).
+    noise variances ``noise_vars`` (at least one), as an iterator over
+    consecutive slices of ``_SLICE`` symbols (the last may be shorter).
 
     Builds the superposed transmit chip stream (ascending user order), runs
     it through the per-symbol channel taps by windowed chip-rate convolution
@@ -260,20 +262,28 @@ def generate_received(
     bit), and adds noise.  ``path_gains`` has shape ``(n_symbols, n_paths)``
     and ``symbols`` ``(n_users, n_symbols)``.
 
-    Noise variates are drawn once -- two ``standard_normal`` blocks of shape
+    Noise variates are drawn once -- two ``standard_normal`` planes of shape
     ``(n_symbols, window_len)``, real then imaginary -- whatever the
     variances, even zero, so a seeded generator yields the same stream at
     any SNR.
 
-    Returns ``(len(noise_vars), n_symbols, window_len)`` complex samples:
-    block ``k`` is ``signal + sqrt(noise_vars[k] / 2) * noise`` per plane,
-    every block from the one signal and the one noise draw, so each is bit
-    for bit what a call with that variance alone would return from the same
-    generator state.  The signal is built in block 0's planes, the blocks
-    after it are formed from them, and block 0 adds its own noise last.
-    Each noise plane is used as soon as it is drawn and scaled in place for
-    block 0, and the signal is built in slices of symbols, so the call needs
-    little memory beyond the returned array (a unit of runs holds several).
+    Each slice is a fresh ``(len(noise_vars), rows, window_len)`` complex
+    array: block ``k`` is ``signal + sqrt(noise_vars[k] / 2) * noise`` per
+    plane, every block from the one signal and the one noise draw, so each
+    is bit for bit what a call with that variance alone gives from the same
+    generator state.  Joined along axis 1, the slices are the whole block's
+    windows, every value as if built in one piece: a slice's windows reach
+    ``ceil((n_paths - 1) / n_chips)`` symbols of chips on either side, and
+    the normal variates of consecutive slices are those of one draw.
+
+    The arguments are checked here, before the iterator is returned.  The
+    call also copies ``rng``'s state for the real plane and advances ``rng``
+    past it with a discard pass; the iterator draws the real plane's slices
+    from the copy and the imaginary plane's from ``rng`` itself.  Once the
+    iterator is exhausted, ``rng`` is where a draw of both planes in one
+    piece would leave it; draw nothing else from it before then.  A consumer
+    that steps the windows slice by slice holds about one slice per noise
+    variance, not the whole block.
     """
     sigs = np.asarray(signatures, dtype=np.float64)
     gains = np.asarray(path_gains, dtype=np.complex128)
@@ -288,51 +298,64 @@ def generate_received(
     if len(noise_vars) == 0:
         raise ValueError("need at least one noise variance")
 
-    shape = (n_symbols, cfg.window_len)
-    received = np.zeros((len(noise_vars), *shape), dtype=np.complex128)
-    planes = _noiseless_planes(cfg, sigs, gains, b, received[0])
-    for part, signal in zip(("real", "imag"), planes):
-        noise = rng.standard_normal(shape)
-        for k in range(1, len(noise_vars)):  # block 0's planes are the signal
-            plane = getattr(received[k], part)
-            np.multiply(np.sqrt(noise_vars[k] / 2.0), noise, out=plane)
-            plane += signal
-        noise *= np.sqrt(noise_vars[0] / 2.0)
-        signal += noise
-        del noise  # before the next plane is drawn
-    return received
+    bits = type(rng.bit_generator)()
+    bits.state = rng.bit_generator.state
+    real = np.random.Generator(bits)
+    skip = np.empty((min(_SLICE, n_symbols), cfg.window_len))
+    for lo in range(0, n_symbols, _SLICE):  # rng moves on to the imaginary plane
+        rng.standard_normal(out=skip[: min(_SLICE, n_symbols - lo)])
+    return _received_slices(cfg, sigs, gains, b, noise_vars, (real, rng))
+
+
+def _received_slices(cfg: CdmaConfig, sigs, gains, b, noise_vars, rngs):
+    """The slices of :func:`generate_received`, which checks the arguments;
+    ``rngs`` draws the real and the imaginary noise plane."""
+    n_symbols, width = b.shape[1], cfg.window_len
+    paths = np.flatnonzero((gains != 0).any(axis=0))
+    scales = [np.sqrt(v / 2.0) for v in noise_vars]
+    for lo in range(0, n_symbols, _SLICE):
+        hi = min(lo + _SLICE, n_symbols)
+        received = np.empty((len(noise_vars), hi - lo, width), dtype=np.complex128)
+        planes = _noiseless_planes(cfg, sigs, gains, b, paths, lo, hi)
+        for part, signal, gen in zip(("real", "imag"), planes, rngs):
+            noise = gen.standard_normal((hi - lo, width))
+            for block, scale in zip(received, scales):
+                plane = getattr(block, part)
+                np.multiply(scale, noise, out=plane)
+                plane += signal
+        yield received
 
 
 def _noiseless_planes(
-    cfg: CdmaConfig, sigs, gains, b, block
+    cfg: CdmaConfig, sigs, gains, b, paths, lo: int, hi: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Accumulate the noiseless windows into the zeroed ``block`` and return
-    its real and imaginary planes (see :func:`generate_received`, which
-    checks the arguments).  A function of its own so that the chip stream is
-    freed before the noise is drawn."""
-    n_symbols, n_chips, pad = b.shape[1], cfg.n_chips, cfg.n_paths - 1
+    """Real and imaginary planes of the noiseless windows of symbols
+    ``lo .. hi - 1``, over the taps ``paths`` (see :func:`generate_received`).
 
-    stream = np.zeros(n_symbols * n_chips + 2 * pad, dtype=np.complex128)
-    chips = stream[pad : pad + n_symbols * n_chips].reshape(n_symbols, n_chips)
-    windows = np.lib.stride_tricks.sliding_window_view(stream, cfg.window_len)
-    signal_re, signal_im = block.real, block.imag
-    paths = np.flatnonzero((gains != 0).any(axis=0))
-    # elementwise work in slices of symbols: the temporaries stay small and
-    # every value is computed as it would be in one piece
-    slices = [slice(lo, lo + _SLICE) for lo in range(0, n_symbols, _SLICE)]
+    The chip stream covers the slice and the ``ceil((n_paths - 1) /
+    n_chips)`` symbols on either side whose chips reach its windows, laid
+    out as the whole block's stream would be around them, so each window
+    sees the same chips in the same places and every sample is computed as
+    it would be in one piece."""
+    n_symbols, n_chips, pad = b.shape[1], cfg.n_chips, cfg.n_paths - 1
+    context = -(-pad // n_chips)
+    first, last = max(lo - context, 0), min(hi + context, n_symbols)
+    stream = np.zeros((last - first) * n_chips + 2 * pad, dtype=np.complex128)
+    chips = stream[pad : pad + (last - first) * n_chips].reshape(last - first, n_chips)
     for k in range(cfg.n_users):
-        a = cfg.amplitudes[k] * b[k]
-        for s in slices:
-            chips[s] += a[s, None] * sigs[k][None, :]
+        chips += (cfg.amplitudes[k] * b[k, first:last])[:, None] * sigs[k][None, :]
+    windows = np.lib.stride_tricks.sliding_window_view(stream, cfg.window_len)
+    start = (lo - first) * n_chips + pad  # window of symbol lo through tap 0
+    signal_re = np.zeros((hi - lo, cfg.window_len))
+    signal_im = np.zeros((hi - lo, cfg.window_len))
     for path in paths:
-        g = gains[:, path][:, None]
-        w = windows[pad - path :: n_chips][:n_symbols]
-        for s in slices:
-            # split-plane product: the vectorized complex-multiply loop may
-            # fuse operations and round differently from scalar arithmetic,
-            # which would break the bit-level reproducibility promised above
-            signal_re[s] += g[s].real * w[s].real - g[s].imag * w[s].imag
-            signal_im[s] += g[s].real * w[s].imag + g[s].imag * w[s].real
+        g = gains[lo:hi, path][:, None]
+        w = windows[start - path :: n_chips][: hi - lo]
+        # split-plane product: the vectorized complex-multiply loop may
+        # fuse operations and round differently from scalar arithmetic,
+        # which would break the bit-level reproducibility promised above
+        signal_re += g.real * w.real - g.imag * w.imag
+        signal_im += g.real * w.imag + g.imag * w.real
     return signal_re, signal_im
 
 

@@ -5,12 +5,14 @@ receiver scheme, averaging per-symbol statistics over independent seeded
 runs (run ``i`` uses generator seed ``base_seed + i``, so results are
 reproducible bit for bit and independent of how many runs execute in
 parallel).  ``run_experiment`` and ``snr_sweep`` share one Monte-Carlo
-engine: a work unit of consecutive runs (two for one point, one for a
-sweep: ``BLOCKS_PER_UNIT``) draws each run's signal and noise once and runs
-it at every SNR point (common random numbers), every (run, point) pair a
-lane of one bank that steps all lanes one symbol per numpy call; at most
-one process pool serves the whole call, and each point's runs are reduced
-in index order.  Supported schemes:
+engine: a work unit of two consecutive runs (``RUNS_PER_UNIT``, for one
+point and a sweep alike) draws each run's signal and noise once and runs it
+at every SNR point (common random numbers), every (run, point) pair a lane
+of one bank that steps all lanes one symbol per numpy call.  Each run's
+received windows are generated slice by slice as the lanes step, so a lane
+costs about one slice of windows in memory, not a whole block.  At most one
+process pool serves the whole call, and each point's runs are reduced in
+index order.  Supported schemes:
 
 ==============  ==============================================================
 ``fullrank``    single LMS filter over the whole window
@@ -89,11 +91,10 @@ _SCHEMES = {
     "mmse": _Scheme(None),
 }
 SCHEMES = tuple(_SCHEMES)
-# Received blocks a work unit may hold: one per run and point (0.96 MB at
-# desk size), for the unit's whole loop.  Wider units step more lanes per
-# numpy call; the README has the measured trade.  A one-point call runs two
-# runs per unit, a sweep one run at all its points.
-BLOCKS_PER_UNIT = 2
+# Consecutive runs per work unit, for one point and a sweep alike; a unit
+# steps its runs at every point as lanes of one bank.  Wider units step more
+# lanes per numpy call; the README has the measured trade.
+RUNS_PER_UNIT = 2
 # step size of a mixing node whose mu_<node> the config leaves out
 _NODE_MU = 0.25
 
@@ -450,36 +451,41 @@ def _single_run(
     """One work unit: each run of ``runs`` (consecutive run indices) at each
     noise variance; one list per run, one result per point.
 
-    Each run's signatures, channel, symbols and noise are drawn once, from
-    the generator seeded ``cfg.seed + i``, as the run alone would draw them;
-    its points differ only in the noise scale.  Every (run, point) pair is
-    one lane of one freshly built scheme (:func:`_run_lanes`).
+    Each run's signatures, channel, symbols and noise are drawn from the
+    generator seeded ``cfg.seed + i``, as the run alone would draw them; its
+    points differ only in the noise scale.  Every (run, point) pair is one
+    lane of one freshly built scheme (:func:`_run_lanes`).  Each run's
+    received windows come slice by slice from its own
+    :func:`~rrfilt.cdma.generate_received` iterator as the lanes step, so
+    the unit holds about one slice of windows per lane, not a whole block.
     """
     cdma = cfg.cdma
-    draws, blocks, desired = [], [], []
+    draws, received, desired = [], [], []
     for i in runs:
         rng = np.random.default_rng(cfg.seed + i)
         signatures = generate_signatures(cdma.n_users, cdma.n_chips, rng)
         channel = ClarkeChannel(cdma.n_paths, cdma.doppler, rng)
         symbols = qpsk_symbols(rng, cdma.n_users, cfg.n_symbols)
         gains = channel.run(cfg.n_symbols)
-        received = generate_received(cdma, signatures, gains, symbols, rng, noise_vars)
+        received.append(generate_received(cdma, signatures, gains, symbols, rng, noise_vars))
         want = symbols[0].tolist()
-        for block, noise_var in zip(received, noise_vars):
+        for noise_var in noise_vars:
             draws.append((signatures, gains, noise_var))
-            blocks.append(block)
             desired.append(want)
     scheme = _build_scheme(cfg, draws)
-    del draws, received  # the scheme holds what it needs
-    results = _run_lanes(cfg, blocks, desired, scheme)
+    del draws  # the scheme holds what it needs
+    results = _run_lanes(cfg, received, desired, scheme)
     k = len(noise_vars)
     return [results[j : j + k] for j in range(0, len(results), k)]
 
 
-def _run_lanes(cfg, blocks, desired, scheme) -> list[_RunResult]:
-    """The symbol loop of every lane, through the bank ``scheme``: lane
-    ``t`` filters the received windows ``blocks[t]`` toward the desired
-    user's symbols ``desired[t]``.  Empties ``blocks`` when the loop ends.
+def _run_lanes(cfg, received, desired, scheme) -> list[_RunResult]:
+    """The symbol loop of every lane, through the bank ``scheme``.
+    ``received`` holds one iterator of slices per run, each slice a
+    ``(points, rows, window_len)`` array; the lanes are the runs' points in
+    order, and lane ``t`` filters its windows toward the desired user's
+    symbols ``desired[t]``.  The next slice of every run is taken when the
+    current one is used up, so the loop holds one slice per lane.
 
     A lane diverges at its first symbol whose output or squared error is not
     finite (overflow is expected for aggressive step sizes); its record
@@ -487,17 +493,21 @@ def _run_lanes(cfg, blocks, desired, scheme) -> list[_RunResult]:
     cannot reach.  The loop ends when every lane has diverged."""
     n = cfg.n_symbols
     supervised_until = n if cfg.train_mode == "supervised" else cfg.train_symbols
-    n_lanes = len(blocks)
+    n_lanes = len(desired)
     # per-symbol bookkeeping in typed buffers (8 bytes a value at most),
     # made arrays once per lane
     errors, sq_err, lambdas, b_opt, picks = (
-        [array.array(code) for _ in blocks] for code in "Bddqq"
+        [array.array(code) for _ in desired] for code in "Bddqq"
     )
     live = list(range(n_lanes))
+    blocks, lo, hi = [], 0, 0  # every lane's current slice, of symbols lo .. hi - 1
 
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n):
-            windows = [block[i] for block in blocks]
+            if i == hi:
+                blocks = [block for run in received for block in next(run)]
+                lo, hi = i, i + len(blocks[0])
+            windows = [block[i - lo] for block in blocks]
             # past training, the scheme decides on its own output
             d = [want[i] for want in desired] if i < supervised_until else detect_qpsk
             results = scheme.step(windows, d)
@@ -516,7 +526,7 @@ def _run_lanes(cfg, blocks, desired, scheme) -> list[_RunResult]:
                     picks[t].extend(res.branches)
             if not live:
                 break
-    blocks.clear()  # the windows are done with before the records are made
+    del blocks, windows  # the windows are done with before the records are made
 
     n_nodes = len(_SCHEMES[cfg.scheme].nodes)
     return [
@@ -579,10 +589,10 @@ def _monte_carlo(points: list[ExperimentConfig]) -> list[ExperimentRecord]:
     in ``cdma.snr_db``; one record per point, in order.
 
     Every point is validated before any work starts.  The runs go in work
-    units of consecutive indices, as many as keep the unit's received blocks
-    (one per run and point) within ``BLOCKS_PER_UNIT``, and at least one; a
-    unit runs its runs at every point as one bank of lanes
-    (:func:`_single_run`).  With
+    units of ``RUNS_PER_UNIT`` consecutive indices (the last unit may have
+    fewer), whatever the number of points; a unit runs its runs at every
+    point as one bank of lanes (:func:`_single_run`), and since its windows
+    come slice by slice, its memory grows by about one slice per lane.  With
     more than one worker and more than one unit, the units go to one process
     pool for the whole call, whose workers run BLAS on one thread
     (:func:`_one_blas_thread`); otherwise they run in order in this process.
@@ -599,8 +609,10 @@ def _monte_carlo(points: list[ExperimentConfig]) -> list[ExperimentRecord]:
     t0 = time.perf_counter()
     cfg = points[0]
     noise_vars = tuple(point.cdma.noise_variance for point in points)
-    per_unit = max(1, BLOCKS_PER_UNIT // len(points))
-    units = [range(i, min(i + per_unit, cfg.n_runs)) for i in range(0, cfg.n_runs, per_unit)]
+    units = [
+        range(i, min(i + RUNS_PER_UNIT, cfg.n_runs))
+        for i in range(0, cfg.n_runs, RUNS_PER_UNIT)
+    ]
     n_units = len(units)
     workers = _worker_count(n_units)
     if workers > 1 and n_units > 1:

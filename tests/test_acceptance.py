@@ -212,7 +212,9 @@ def test_c3b_received_signal_matches_chip_stream_oracle():
     sigs = generate_signatures(cfg.n_users, cfg.n_chips, setup)
     symbols = qpsk_symbols(setup, cfg.n_users, 60)
     gains = ClarkeChannel(cfg.n_paths, 2e-3, setup).run(60)
-    lib = generate_received(cfg, sigs, gains, symbols, rng_lib, (cfg.noise_variance,))[0]
+    lib = np.concatenate(
+        [*generate_received(cfg, sigs, gains, symbols, rng_lib, (cfg.noise_variance,))], axis=1
+    )[0]
     oracle = chip_stream_oracle(cfg, sigs, gains, symbols, rng_oracle)
     assert_array_equal(lib, oracle)
     _report("criterion 3b: received windows equal chip-stream oracle",

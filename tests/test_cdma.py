@@ -26,6 +26,42 @@ from rrfilt.filters import FullRankLms
 SQRT2 = np.sqrt(2.0)
 
 
+def joined(slices):
+    """The whole block of :func:`generate_received`'s slices,
+    ``(points, n_symbols, window_len)``."""
+    return np.concatenate([*slices], axis=1)
+
+
+def one_shot_received(cfg, sigs, gains, b, rng, noise_vars):
+    """The received windows built in one piece, as ``generate_received``
+    built them before it returned slices: the chip stream of the whole
+    block, one window per symbol and path, then a real and an imaginary
+    noise plane of the whole block."""
+    n_symbols, n_chips, pad = b.shape[1], cfg.n_chips, cfg.n_paths - 1
+    shape = (n_symbols, cfg.window_len)
+    received = np.zeros((len(noise_vars), *shape), dtype=np.complex128)
+    stream = np.zeros(n_symbols * n_chips + 2 * pad, dtype=np.complex128)
+    chips = stream[pad : pad + n_symbols * n_chips].reshape(n_symbols, n_chips)
+    windows = np.lib.stride_tricks.sliding_window_view(stream, cfg.window_len)
+    signal_re, signal_im = received[0].real, received[0].imag
+    for k in range(cfg.n_users):
+        chips += (cfg.amplitudes[k] * b[k])[:, None] * sigs[k][None, :]
+    for path in np.flatnonzero((gains != 0).any(axis=0)):
+        g = gains[:, path][:, None]
+        w = windows[pad - path :: n_chips][:n_symbols]
+        signal_re += g.real * w.real - g.imag * w.imag
+        signal_im += g.real * w.imag + g.imag * w.real
+    for part, signal in zip(("real", "imag"), (signal_re, signal_im)):
+        noise = rng.standard_normal(shape)
+        for k in range(1, len(noise_vars)):
+            plane = getattr(received[k], part)
+            np.multiply(np.sqrt(noise_vars[k] / 2.0), noise, out=plane)
+            plane += signal
+        noise *= np.sqrt(noise_vars[0] / 2.0)
+        signal += noise
+    return received
+
+
 def chip_stream_oracle(cfg, signatures, path_gains, symbols, rng, noise_var=None):
     """Brute-force re-implementation of the received-window contract.
 
@@ -215,13 +251,37 @@ class TestGenerateReceived:
         gains[:, : len(h)] = np.asarray(h)
         return gains
 
+    @pytest.mark.parametrize("noise_vars", [(0.3,), (0.0, 0.05, 2.0)])
+    @pytest.mark.parametrize("n_symbols", [1, 127, 128, 129, 1500])
+    @pytest.mark.parametrize("chips,paths", [(32, 9), (4, 9), (2, 9), (1, 16)])
+    def test_slices_join_to_the_one_shot_block(self, chips, paths, n_symbols, noise_vars):
+        # at (2, 9) and (1, 16) a window reaches chips of 4 and 15 symbols
+        # on either side, not just the adjacent ones
+        users = min(4, 2**chips)
+        cfg = CdmaConfig(n_users=users, n_chips=chips, n_paths=paths, snr_db=10.0,
+                         amplitudes=(1.0, 0.7, 1.3, 0.5)[:users])
+        setup = np.random.default_rng(n_symbols + 7 * chips)
+        sigs = generate_signatures(users, chips, setup)
+        gains = ClarkeChannel(paths, 5e-3, setup).run(n_symbols)
+        symbols = qpsk_symbols(setup, users, n_symbols)
+        rng, oracle_rng = np.random.default_rng(19), np.random.default_rng(19)
+        slices = list(generate_received(cfg, sigs, gains, symbols, rng, noise_vars))
+        want = one_shot_received(cfg, sigs, gains, symbols, oracle_rng, noise_vars)
+        assert [s.shape[1] for s in slices] == [
+            min(128, n_symbols - lo) for lo in range(0, n_symbols, 128)
+        ]
+        got = joined(slices)
+        assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+        # the generator ends where the one-shot draw left it
+        assert rng.standard_normal() == oracle_rng.standard_normal()
+
     def test_single_user_single_path_is_scaled_signature(self):
         cfg = CdmaConfig(n_users=1, n_chips=8, n_paths=1, snr_db=np.inf)
         rng = np.random.default_rng(9)
         sigs = generate_signatures(1, 8, rng)
         symbols = qpsk_symbols(rng, 1, 5)
         gains = self._static_gains(5, 1, [1.0])
-        r = generate_received(cfg, sigs, gains, symbols, rng, (cfg.noise_variance,))[0]
+        r = joined(generate_received(cfg, sigs, gains, symbols, rng, (cfg.noise_variance,)))[0]
         for i in range(5):
             assert_allclose(r[i], symbols[0, i] * sigs[0], atol=0)
 
@@ -236,7 +296,9 @@ class TestGenerateReceived:
         sigs = generate_signatures(3, 8, sig_rng)
         symbols = qpsk_symbols(sig_rng, 3, 40)
         gains = ClarkeChannel(3, 1e-3, sig_rng).run(40)
-        lib = generate_received(cfg, sigs, gains, symbols, rng_lib, (cfg.noise_variance,))[0]
+        lib = joined(
+            generate_received(cfg, sigs, gains, symbols, rng_lib, (cfg.noise_variance,))
+        )[0]
         oracle = chip_stream_oracle(cfg, sigs, gains, symbols, rng_oracle)
         assert_array_equal(lib, oracle)
 
@@ -252,9 +314,9 @@ class TestGenerateReceived:
         gains = ClarkeChannel(9, 5e-3, setup).run(12)
         symbols = qpsk_symbols(setup, 8, 12)
         assert (~(gains != 0).any(axis=0)).sum() >= 6
-        lib = generate_received(
+        lib = joined(generate_received(
             cfg, sigs, gains, symbols, np.random.default_rng(5), (cfg.noise_variance,)
-        )[0]
+        ))[0]
         oracle = chip_stream_oracle(cfg, sigs, gains, symbols, np.random.default_rng(5))
         assert_array_equal(lib, oracle)
 
@@ -269,12 +331,12 @@ class TestGenerateReceived:
         symbols = qpsk_symbols(setup, 3, 30)
         variances = (cfg.noise_variance, 0.0, 2.5, 1e-3)
         rng = np.random.default_rng(17)
-        stacked = generate_received(cfg, sigs, gains, symbols, rng, variances)
+        stacked = joined(generate_received(cfg, sigs, gains, symbols, rng, variances))
         after = rng.standard_normal()
         assert stacked.shape == (4, 30, cfg.window_len)
         for block, var in zip(stacked, variances):
             alone_rng = np.random.default_rng(17)
-            alone = generate_received(cfg, sigs, gains, symbols, alone_rng, (var,))[0]
+            alone = joined(generate_received(cfg, sigs, gains, symbols, alone_rng, (var,)))[0]
             assert_array_equal(block, alone)
             # one draw serves every variance: the generator ends in one state
             assert alone_rng.standard_normal() == after
@@ -289,8 +351,8 @@ class TestGenerateReceived:
             generate_received(cfg, sigs, gains, symbols, np.random.default_rng(17), ())
 
     def test_traced_peak_at_desk_dimensions(self):
-        # the windows are built in the returned block: no chip copy, no
-        # per-path window gather and no separate signal planes
+        # the slices and the block they join make two blocks; what a slice
+        # needs while it is built is a small part of one
         cfg = CdmaConfig(
             n_users=8, n_chips=32, n_paths=9, snr_db=15.0, doppler=5e-3,
             amplitudes=(1.0,) + (0.35,) * 7,
@@ -302,7 +364,9 @@ class TestGenerateReceived:
         rng = np.random.default_rng(5)
         tracemalloc.start()
         try:
-            received = generate_received(cfg, sigs, gains, symbols, rng, (cfg.noise_variance,))
+            received = joined(
+                generate_received(cfg, sigs, gains, symbols, rng, (cfg.noise_variance,))
+            )
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -316,8 +380,10 @@ class TestGenerateReceived:
         gains = ClarkeChannel(3, 0.0, rng).run(6)
         base = qpsk_symbols(rng, 2, 6)
         noise = (cfg.noise_variance,)
-        r1 = generate_received(cfg, sigs, gains, base, np.random.default_rng(0), noise)[0]
-        r2 = generate_received(cfg, sigs, gains, 2 * base, np.random.default_rng(0), noise)[0]
+        r1 = joined(generate_received(cfg, sigs, gains, base, np.random.default_rng(0), noise))[0]
+        r2 = joined(
+            generate_received(cfg, sigs, gains, 2 * base, np.random.default_rng(0), noise)
+        )[0]
         assert_allclose(r2, 2 * r1, atol=1e-14)
 
     def test_noise_only_covariance(self):
@@ -330,7 +396,7 @@ class TestGenerateReceived:
         symbols = qpsk_symbols(rng, 1, n)
         gains = self._static_gains(n, 3, [1.0, 0.5, 0.25])
         noise_var = 0.37
-        r = generate_received(cfg, sigs, gains, symbols, rng, (noise_var,))[0]
+        r = joined(generate_received(cfg, sigs, gains, symbols, rng, (noise_var,)))[0]
         diag = np.mean(np.abs(r) ** 2, axis=0)
         assert np.all(np.abs(diag - noise_var) <= 0.05 * noise_var)
         # off-diagonal correlation should be near zero
@@ -355,8 +421,20 @@ class TestGenerateReceived:
         rng = np.random.default_rng(15)
         sigs = generate_signatures(2, 4, rng)
         symbols = qpsk_symbols(rng, 2, 3)
-        with pytest.raises(ValueError):
-            generate_received(cfg, sigs, np.zeros((2, 2)), symbols, rng, (cfg.noise_variance,))
+        gains = np.zeros((3, 2))
+        state = rng.bit_generator.state
+        # each raises at the call, before any slice is asked for or any
+        # noise is drawn
+        for args in (
+            (sigs, np.zeros((2, 2)), symbols),
+            (sigs[:1], gains, symbols),
+            (sigs, gains, symbols[:, :0]),
+            (sigs, gains, symbols[0]),
+            (sigs, np.zeros((3, 3)), symbols),
+        ):
+            with pytest.raises(ValueError):
+                generate_received(cfg, *args, rng, (cfg.noise_variance,))
+        assert rng.bit_generator.state == state
 
 
 def mmse_system(cfg, signatures, channel_gains, loading):
@@ -514,7 +592,7 @@ def _frozen_desk_run(seed, n):
     channel = ClarkeChannel(cfg.n_paths, cfg.doppler, rng)
     symbols = qpsk_symbols(rng, cfg.n_users, n)
     gains = channel.run(n)
-    (received,) = generate_received(cfg, signatures, gains, symbols, rng, (noise_var,))
+    (received,) = joined(generate_received(cfg, signatures, gains, symbols, rng, (noise_var,)))
     h = gains[0]
     assert_array_equal(gains, np.broadcast_to(h, gains.shape))
     receiver = MmseReceiver(cfg, signatures, gains, noise_var)

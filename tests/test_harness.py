@@ -11,6 +11,7 @@ import re
 import resource
 import subprocess
 import sys
+import tracemalloc
 import types
 from concurrent import futures
 from pathlib import Path
@@ -651,6 +652,28 @@ class TestWorkUnits:
         unit = self._assert_unit_equals_runs_alone(cfg, (cfg.cdma.noise_variance, 1e6))
         assert [[r.diverged for r in results] for results in unit] == [[False, True]] * 2
 
+    def test_unit_memory_grows_by_less_than_a_block_per_lane(self):
+        # the windows come slice by slice: five more lanes and one more run
+        # must cost less than two whole received blocks (one block is
+        # 1500 x 40 x 16 B = 0.96 MB), where whole blocks cost one a lane
+        cfg = dataclasses.replace(
+            load_config(CONFIGS / "scheme_b.yaml"), train_mode="semi", train_symbols=200
+        )
+        block = cfg.n_symbols * cfg.cdma.window_len * 16
+        variance = cfg.cdma.noise_variance
+
+        def peak(runs, noise_vars):
+            tracemalloc.start()
+            try:
+                harness._single_run(cfg, noise_vars, runs)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small = peak(range(1), (variance,))
+        wide = peak(range(2), (variance, 4 * variance, 16 * variance))
+        assert wide - small < 2 * block
+
 
 class TestMonteCarloEngine:
     SNRS = [6.0, 12.0, math.inf]
@@ -688,6 +711,30 @@ class TestMonteCarloEngine:
         # the points differ, so the check above compares three distinct records
         assert swept[0].mse.tobytes() != swept[2].mse.tobytes()
         # with two workers, the sweep and each of the three runs took one pool
+        assert pools == ([2] * 4 if threads == "2" else [])
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_units_of_two_runs_at_every_point(self, monkeypatch, pools, threads):
+        # five runs at three points: units of runs 0-1, 2-3 and 4, each
+        # stepping six, six and three lanes
+        monkeypatch.setenv("RRFILT_THREADS", threads)
+        units = []
+        unit = harness._single_run
+
+        def recorded(cfg, noise_vars, runs):
+            units.append((runs, len(noise_vars)))
+            return unit(cfg, noise_vars, runs)
+
+        if threads == "1":  # a pool cannot take a local function
+            monkeypatch.setattr(harness, "_single_run", recorded)
+        cfg = tiny_config("scheme_b", train_mode="semi", train_symbols=30, n_runs=5)
+        swept = snr_sweep(cfg, self.SNRS)
+        monkeypatch.setattr(harness, "_single_run", unit)
+        if threads == "1":
+            assert units == [(range(0, 2), 3), (range(2, 4), 3), (range(4, 5), 3)]
+        for snr, rec in zip(self.SNRS, swept):
+            point = dataclasses.replace(cfg, cdma=dataclasses.replace(cfg.cdma, snr_db=snr))
+            assert_same_record(rec, run_experiment(point))
         assert pools == ([2] * 4 if threads == "2" else [])
 
     def test_one_pool_per_call(self, monkeypatch, pools):
