@@ -719,8 +719,6 @@ def snr_sweep(cfg: ExperimentConfig, snr_list) -> list[ExperimentRecord]:
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
     return f"{value:.10g}"
 
 
@@ -730,28 +728,25 @@ def write_csv(record: ExperimentRecord, path) -> None:
     ``lambda_x``; mixing columns of nodes the scheme lacks, and the branch
     column of schemes without branches, are empty."""
     nodes = _SCHEMES[record.scheme].nodes
-    lambda_a, lambda_b, lambda_c = (
-        record.lambdas[:, nodes.index(node)] if node in nodes else None
-        for node in ("a", "b", "c")
-    )
+    blank = [""] * record.n_symbols
+    columns = [
+        range(1, record.n_symbols + 1),
+        [_fmt(v) for v in record.mse.tolist()],
+        [_fmt(v) for v in record.cumulative_ber.tolist()],
+        *(
+            [_fmt(v) for v in record.lambdas[:, nodes.index(node)].tolist()]
+            if node in nodes else blank
+            for node in ("a", "b", "c")
+        ),
+        blank if record.b_opt_mode is None else record.b_opt_mode.tolist(),
+    ]
     try:
         with open(path, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
             writer.writerow(
                 ["symbol", "mse", "ber", "lambda_a", "lambda_b", "lambda_c", "b_opt_mode"]
             )
-            for i in range(record.n_symbols):
-                writer.writerow(
-                    [
-                        i + 1,
-                        _fmt(record.mse[i]),
-                        _fmt(record.cumulative_ber[i]),
-                        _fmt(None if lambda_a is None else lambda_a[i]),
-                        _fmt(None if lambda_b is None else lambda_b[i]),
-                        _fmt(None if lambda_c is None else lambda_c[i]),
-                        "" if record.b_opt_mode is None else int(record.b_opt_mode[i]),
-                    ]
-                )
+            writer.writerows(zip(*columns))
     except OSError as exc:
         raise OSError(f"cannot write results to {path}: {exc}") from exc
 
