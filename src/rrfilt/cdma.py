@@ -5,8 +5,8 @@ a unit-norm binary signature; all users share a common multipath downlink
 channel with ``n_paths`` chip-spaced taps, of which three carry the fixed
 0 / -3 / -9 dB power profile ``PATH_PROFILE_DB`` with random spacing.  The
 receiver observes ``window_len = n_chips + n_paths - 1`` chip-rate samples
-per symbol, so each window also sees the tails of the previous and the head
-of the next symbol (intersymbol interference).
+per symbol, so each window also sees chips of the symbols on either side,
+``ceil((n_paths - 1) / n_chips)`` of them (intersymbol interference).
 
 The received windows are produced by exact chip-rate convolution of the
 concatenated transmit chip stream with the channel taps of the observed
@@ -60,14 +60,14 @@ class CdmaConfig:
     def __post_init__(self):
         # kinds first: a wrong-typed field is a ValueError that names it
         for name in ("n_users", "n_chips", "n_paths"):
-            _check_kind(getattr(self, name), name, int)
+            _check_kind(int, getattr(self, name), name)
         for name in ("snr_db", "doppler"):
-            _check_kind(getattr(self, name), name, float)
+            _check_kind(float, getattr(self, name), name)
         if self.amplitudes is not None:
             if not isinstance(self.amplitudes, (list, tuple)):
                 raise ValueError(f"amplitudes must be a list of numbers, got {self.amplitudes!r}")
             for i, a in enumerate(self.amplitudes):
-                _check_kind(a, f"amplitudes[{i}]", float)
+                _check_kind(float, a, f"amplitudes[{i}]")
         if self.n_users < 1 or self.n_chips < 1 or self.n_paths < 1:
             raise ValueError("n_users, n_chips and n_paths must be >= 1")
         # n_users > 2**n_chips, without building a huge power of two
@@ -109,14 +109,23 @@ class CdmaConfig:
         return float(self.amplitudes[0] ** 2 * 10.0 ** (-self.snr_db / 10.0))
 
 
-def _check_kind(value, name: str, kind: type) -> None:
-    """Raise a ``ValueError`` naming ``name`` unless ``value`` is an integer
-    (``kind`` int) or a number (``kind`` float, which an integer also is);
-    booleans are neither."""
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}
+
+
+def _check_kind(kind: type, value, key: str) -> None:
+    """Raise a ``ValueError`` naming ``key`` unless ``value`` is a ``kind``;
+    a number (``kind`` float) may be an integer, and booleans are neither.
+    A kind outside ``_KIND_NAMES`` is named by its class name."""
     allowed = (int, float) if kind is float else kind
     if isinstance(value, bool) or not isinstance(value, allowed):
-        what = "an integer" if kind is int else "a number"
-        raise ValueError(f"{name} must be {what}, got {value!r}")
+        what = _KIND_NAMES.get(kind, f"a {kind.__name__}")
+        raise ValueError(f"{key} must be {what}, got {value!r}")
+
+
+def _reach(cfg: CdmaConfig) -> int:
+    """Symbols on either side whose chips reach a symbol's window:
+    ``ceil((n_paths - 1) / n_chips)``."""
+    return -(-(cfg.n_paths - 1) // cfg.n_chips)
 
 
 def generate_signatures(n_users: int, n_chips: int, rng: np.random.Generator) -> np.ndarray:
@@ -338,7 +347,7 @@ def _noiseless_planes(
     sees the same chips in the same places and every sample is computed as
     it would be in one piece."""
     n_symbols, n_chips, pad = b.shape[1], cfg.n_chips, cfg.n_paths - 1
-    context = -(-pad // n_chips)
+    context = _reach(cfg)
     first, last = max(lo - context, 0), min(hi + context, n_symbols)
     stream = np.zeros((last - first) * n_chips + 2 * pad, dtype=np.complex128)
     chips = stream[pad : pad + (last - first) * n_chips].reshape(last - first, n_chips)
@@ -365,9 +374,10 @@ class MmseReceiver:
     Knows every signature, every amplitude and the noise variance, and is
     bound to one run's channel gains (``(n_symbols, n_paths)``, one snapshot
     per symbol).  :meth:`filter_for` solves the normal equations of one
-    snapshot, whose covariance sums the current, previous and next symbol
-    windows of every user (the exact interference structure of
-    :func:`generate_received`) plus the noise floor.
+    snapshot, whose covariance sums every user's windows of the symbols
+    ``-reach .. reach`` around the current one, ``reach = ceil((n_paths -
+    1) / n_chips)`` (the exact interference structure of
+    :func:`generate_received`), plus the noise floor.
 
     It speaks the adaptive schemes' protocol (:mod:`rrfilt.filters`) without
     adapting: ``equivalent()`` is the MMSE filter of the current symbol's
@@ -376,22 +386,21 @@ class MmseReceiver:
     decision function, and moves on to the next symbol.
 
     The convolution matrices are kept complex and stacked into one
-    ``(3 * n_users * window_len, n_paths)`` array, so a snapshot costs one
-    matrix-vector product, one covariance product and one solve, with no
-    per-call casts.  Holding them complex gives the same products, bit for
-    bit, as casting the real matrices on every call.
+    ``((2 * reach + 1) * n_users * window_len, n_paths)`` array, so a
+    snapshot costs one matrix-vector product, one covariance product and one
+    solve, with no per-call casts.  Holding them complex gives the same
+    products, bit for bit, as casting the real matrices on every call.
     """
-
-    _SHIFTS = (-1, 0, 1)
 
     def __init__(self, cfg: CdmaConfig, signatures: np.ndarray, gains, noise_var: float):
         sigs = np.asarray(signatures, dtype=np.float64)
         if sigs.shape != (cfg.n_users, cfg.n_chips):
             raise ValueError("signatures shape does not match the configuration")
         self.cfg = cfg
+        self._reach = _reach(cfg)
         mats, weights = [], []
         for k in range(cfg.n_users):
-            for shift in self._SHIFTS:
+            for shift in range(-self._reach, self._reach + 1):
                 mats.append(build_convolution_matrix(sigs[k], cfg.n_paths, shift))
                 weights.append(cfg.amplitudes[k] ** 2)
         self._stack = np.concatenate(mats).astype(np.complex128)
@@ -408,12 +417,12 @@ class MmseReceiver:
         h = np.asarray(channel_gains, dtype=np.complex128)
         if h.shape != (self.cfg.n_paths,):
             raise ValueError("channel snapshot must have one gain per path")
-        eff = (self._stack @ h).reshape(self._eff_shape)  # (3 * n_users, window_len)
+        eff = (self._stack @ h).reshape(self._eff_shape)  # one row per (user, shift)
         cov = (eff.T * self._weights) @ np.conj(eff)
         # the diagonal, through a view: matmul returns a fresh C-ordered array
         cov.ravel()[:: self._eff_shape[1] + 1] += self.noise_var + 1e-10
-        # row 1 is user 0's current symbol (shifts -1, 0, 1 per user)
-        steering = self.cfg.amplitudes[0] * eff[1]
+        # row ``reach`` is user 0's current symbol (shifts -reach .. reach per user)
+        steering = self.cfg.amplitudes[0] * eff[self._reach]
         try:
             return np.linalg.solve(cov, steering)
         except np.linalg.LinAlgError:

@@ -156,11 +156,7 @@ class MixTree:
         return sum(c[0] for c in counts), sum(c[1] for c in counts)
 
     def predict(self, r):
-        values = self._end_to_end(
-            [bank._predict(x) for (bank, _), x in zip(self._banks, self._inputs(r))]
-        )
-        out = [self._mix(list(lane(values)), nodes)
-               for lane, nodes in zip(self._lane_values, self._nodes)]
+        out = self._predicted(self._inputs(r))
         return out if self.lanes else out[0]
 
     def equivalent(self) -> np.ndarray:
@@ -185,26 +181,22 @@ class MixTree:
         windows = list(r) if self.lanes else [r]
         return [bank._input(windows * k) for bank, k in self._banks]
 
-    @staticmethod
-    def _end_to_end(per_bank) -> list:
-        """The banks' per-lane values as one list, banks end to end."""
-        out = []
-        for values in per_bank:
-            out += values.tolist()
-        return out
+    def _predicted(self, xs) -> list:
+        """Every lane's pre-update tree output, from the banks' prepared
+        inputs ``xs``: the mix of the constituents' predictions."""
+        values = []
+        for (bank, _), x in zip(self._banks, xs):
+            values += bank._predict(x).tolist()
+        return [self._mix(list(lane(values)), nodes)
+                for lane, nodes in zip(self._lane_values, self._nodes)]
 
     def step(self, r, d):
-        # plain loops, not comprehensions: this runs once per symbol
+        # plain loops below, not comprehensions: this runs once per symbol
         xs = self._inputs(r)
         if callable(d):
-            values = self._end_to_end([bank._predict(x) for (bank, _), x in zip(self._banks, xs)])
-            ds = []
-            for lane, nodes in zip(self._lane_values, self._nodes):
-                ds.append(complex(d(self._mix(list(lane(values)), nodes))))
-        elif self.lanes:
-            ds = [complex(v) for v in d]
+            ds = [complex(d(y)) for y in self._predicted(xs)]
         else:
-            ds = [complex(d)]
+            ds = [complex(v) for v in (d if self.lanes else (d,))]
         outs, picks = [], []
         for (bank, k), x in zip(self._banks, xs):
             y, _, b = bank._step(x, np.array(ds * k))

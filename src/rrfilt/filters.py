@@ -138,11 +138,10 @@ class _Bank:
         return self._results(*self._step(self._input(r), d))
 
     def _results(self, y, e, b) -> StepResult | list[StepResult]:
-        ys, es = y.tolist(), e.tolist()
-        if not self.lanes:
-            return StepResult(ys, es, () if b is None else (b.item(),), ())
-        bs = [()] * len(ys) if b is None else [(v,) for v in b.tolist()]
-        return [StepResult(y, e, b, ()) for y, e, b in zip(ys, es, bs)]
+        ys, es = np.ravel(y).tolist(), np.ravel(e).tolist()
+        bs = [()] * len(ys) if b is None else [(v,) for v in np.ravel(b).tolist()]
+        results = [StepResult(y, e, b, ()) for y, e, b in zip(ys, es, bs)]
+        return results if self.lanes else results[0]
 
     def _each_lane(self, fn, values) -> np.ndarray:
         """``fn`` applied to each lane's value, as a complex array."""

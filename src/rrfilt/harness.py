@@ -64,9 +64,11 @@ import numpy as np
 import yaml
 
 from .cdma import (
+    _KIND_NAMES,
     CdmaConfig,
     ClarkeChannel,
     MmseReceiver,
+    _check_kind,
     detect_qpsk,
     generate_received,
     generate_signatures,
@@ -135,21 +137,22 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         # types first: each field as config_from_dict makes it (never converted)
-        for key, kind in _TOP_SCALARS.items():
-            _check_kind(kind, getattr(self, key), key)
-        if self.out is not None:
-            _check_kind(str, self.out, "out")
-        for key, kind in (("cdma", CdmaConfig), ("branches", list), ("combiners", dict)):
-            if not isinstance(getattr(self, key), kind):
-                raise ConfigError(f"{key} must be a {kind.__name__}, got {getattr(self, key)!r}")
-        for i, b in enumerate(self.branches):
-            if not isinstance(b, BranchParams):
-                raise ConfigError(f"branches[{i}] must be a BranchParams, got {b!r}")
-            for key, kind in _BRANCH_KEYS.items():
-                if getattr(b, key) is not None or key == "mu":
-                    _check_kind(kind, getattr(b, key), f"branches[{i}].{key}")
-        for key, value in self.combiners.items():
-            _check_kind(float, value, f"combiners.{key}")
+        try:
+            for key, kind in _TOP_SCALARS.items():
+                _check_kind(kind, getattr(self, key), key)
+            if self.out is not None:
+                _check_kind(str, self.out, "out")
+            for key, kind in (("cdma", CdmaConfig), ("branches", list), ("combiners", dict)):
+                _check_kind(kind, getattr(self, key), key)
+            for i, b in enumerate(self.branches):
+                _check_kind(BranchParams, b, f"branches[{i}]")
+                for key, kind in _BRANCH_KEYS.items():
+                    if getattr(b, key) is not None or key == "mu":
+                        _check_kind(kind, getattr(b, key), f"branches[{i}].{key}")
+            for key, value in self.combiners.items():
+                _check_kind(float, value, f"combiners.{key}")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}; pick one of {SCHEMES}")
         if self.n_symbols < 1 or self.n_runs < 1:
@@ -260,7 +263,6 @@ _CDMA_KEYS = {
     "amplitudes": ("amplitudes", (float,)),
 }
 _BRANCH_KEYS = {"mu": float, "rank": int, "interp_len": int, "eta": float}
-_KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
 
 def _reject_unknown(mapping: dict, allowed, where: str) -> None:
@@ -291,14 +293,6 @@ def _convert(kind, value, key: str):
     return converted
 
 
-def _check_kind(kind, value, key: str) -> None:
-    """Raise a :class:`ConfigError` naming ``key`` unless ``value`` is what
-    :func:`_convert` returns for ``kind`` (a number may be an int; no bool)."""
-    allowed = (int, float) if kind is float else kind
-    if isinstance(value, bool) or not isinstance(value, allowed):
-        raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
-
-
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build and validate an :class:`ExperimentConfig` from plain mappings
     (the parsed form of a config file).  Unknown keys are rejected."""
@@ -308,7 +302,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if "scheme" not in data:
         raise ConfigError("configuration must name a scheme")
 
-    cdma_data = data.get("cdma", {})
+    cdma_data = {} if data.get("cdma") is None else data["cdma"]
     if not isinstance(cdma_data, dict):
         raise ConfigError("cdma section must be a mapping")
     _reject_unknown(cdma_data, _CDMA_KEYS, "cdma")
@@ -322,9 +316,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(f"cdma section: {exc}") from exc
 
-    branch_data = data.get("branches")
-    if branch_data is None:
-        branch_data = []
+    branch_data = [] if data.get("branches") is None else data["branches"]
     if not isinstance(branch_data, (list, tuple)):
         raise ConfigError(f"branches must be a list of mappings, got {branch_data!r}")
     branches = []
@@ -338,9 +330,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             for k, v in {"mu": None, **entry}.items()
         }))
 
-    comb_data = data.get("combiners")
-    if comb_data is None:
-        comb_data = {}
+    comb_data = {} if data.get("combiners") is None else data["combiners"]
     if not isinstance(comb_data, dict):
         raise ConfigError("combiners section must be a mapping")
     # validate() rejects the keys of nodes the scheme does not have
@@ -584,31 +574,27 @@ def _one_blas_thread() -> None:
                 return
 
 
-def _monte_carlo(points: list[ExperimentConfig]) -> list[ExperimentRecord]:
-    """Run and reduce every point of ``points``, configs that differ at most
-    in ``cdma.snr_db``; one record per point, in order.
+def _monte_carlo(cfg: ExperimentConfig, noise_vars: tuple[float, ...]) -> list[ExperimentRecord]:
+    """Run and reduce the config ``cfg``, already validated, at each of the
+    points' noise variances ``noise_vars`` (its own ``cdma.snr_db`` is not
+    read); one record per point, in order.
 
-    Every point is validated before any work starts.  The runs go in work
-    units of ``RUNS_PER_UNIT`` consecutive indices (the last unit may have
-    fewer), whatever the number of points; a unit runs its runs at every
-    point as one bank of lanes (:func:`_single_run`), and since its windows
-    come slice by slice, its memory grows by about one slice per lane.  With
-    more than one worker and more than one unit, the units go to one process
-    pool for the whole call, whose workers run BLAS on one thread
-    (:func:`_one_blas_thread`); otherwise they run in order in this process.
-    A lane's arithmetic does not depend on its bank, and each point's runs
-    are reduced in index order, so the records do not depend on the worker
-    count or the unit size, and each is bit for bit the record of that point
-    alone.  Every record's ``wall_time`` and ``complexity`` are taken once
-    for the whole call.
+    The runs go in work units of ``RUNS_PER_UNIT`` consecutive indices (the
+    last unit may have fewer), whatever the number of points; a unit runs
+    its runs at every point as one bank of lanes (:func:`_single_run`), and
+    since its windows come slice by slice, its memory grows by about one
+    slice per lane.  With more than one worker and more than one unit, the
+    units go to one process pool for the whole call, whose workers run BLAS
+    on one thread (:func:`_one_blas_thread`); otherwise they run in order in
+    this process.  A lane's arithmetic does not depend on its bank, and each
+    point's runs are reduced in index order, so the records do not depend on
+    the worker count or the unit size, and each is bit for bit the record of
+    that point alone.  Every record's ``wall_time`` and ``complexity`` are
+    taken once for the whole call.
     """
-    for point in points:
-        point.validate()
-    if not points:
+    if not noise_vars:
         return []
     t0 = time.perf_counter()
-    cfg = points[0]
-    noise_vars = tuple(point.cdma.noise_variance for point in points)
     units = [
         range(i, min(i + RUNS_PER_UNIT, cfg.n_runs))
         for i in range(0, cfg.n_runs, RUNS_PER_UNIT)
@@ -624,7 +610,7 @@ def _monte_carlo(points: list[ExperimentConfig]) -> list[ExperimentRecord]:
     else:
         done = [_single_run(cfg, noise_vars, unit) for unit in units]
     runs = [run for unit in done for run in unit]
-    records = [_reduce(point, [run[k] for run in runs]) for k, point in enumerate(points)]
+    records = [_reduce(cfg, [run[k] for run in runs]) for k in range(len(noise_vars))]
     wall_time = time.perf_counter() - t0
     complexity = _complexity(cfg)
     for record in records:
@@ -634,8 +620,8 @@ def _monte_carlo(points: list[ExperimentConfig]) -> list[ExperimentRecord]:
 
 
 def _reduce(cfg: ExperimentConfig, runs: list[_RunResult]) -> ExperimentRecord:
-    """Aggregate one point's runs, given in run-index order (``wall_time``
-    and ``complexity`` are left for the caller)."""
+    """Aggregate one point's runs of ``cfg``, given in run-index order
+    (``wall_time`` and ``complexity`` are left for the caller)."""
     good = [r for r in runs if not r.diverged]
     diverged = cfg.n_runs - len(good)
     n = cfg.n_symbols
@@ -693,7 +679,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
     a given configuration regardless of worker count.  This is the one-point
     case of :func:`snr_sweep`'s engine.
     """
-    return _monte_carlo([cfg])[0]
+    cfg.validate()
+    return _monte_carlo(cfg, (cfg.cdma.noise_variance,))[0]
 
 
 def snr_sweep(cfg: ExperimentConfig, snr_list) -> list[ExperimentRecord]:
@@ -702,15 +689,17 @@ def snr_sweep(cfg: ExperimentConfig, snr_list) -> list[ExperimentRecord]:
     signatures, fading, symbols and noise draws at every point, only scaled
     to the point's noise variance.  Each record is bit for bit what
     :func:`run_experiment` gives at that point alone; the runs are drawn once
-    and share one process pool across all points."""
-    points = []
+    and share one process pool across all points.  The config is validated
+    once, and every point's noise variance is read, before any run starts;
+    an empty ``snr_list`` runs nothing."""
+    cfg.validate()
+    noise_vars = []
     for snr in snr_list:
         try:
-            cdma = dataclasses.replace(cfg.cdma, snr_db=float(snr))
+            noise_vars.append(dataclasses.replace(cfg.cdma, snr_db=float(snr)).noise_variance)
         except ValueError as exc:
             raise ConfigError(f"SNR point {snr!r}: {exc}") from exc
-        points.append(dataclasses.replace(cfg, cdma=cdma))
-    return _monte_carlo(points)
+    return _monte_carlo(cfg, tuple(noise_vars))
 
 
 # ---------------------------------------------------------------------------
@@ -740,32 +729,30 @@ def write_csv(record: ExperimentRecord, path) -> None:
         ),
         blank if record.b_opt_mode is None else record.b_opt_mode.tolist(),
     ]
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(
-                ["symbol", "mse", "ber", "lambda_a", "lambda_b", "lambda_c", "b_opt_mode"]
-            )
-            writer.writerows(zip(*columns))
-    except OSError as exc:
-        raise OSError(f"cannot write results to {path}: {exc}") from exc
+    header = ["symbol", "mse", "ber", "lambda_a", "lambda_b", "lambda_c", "b_opt_mode"]
+    _write_rows(path, "results", header, zip(*columns))
 
 
 def write_sweep_csv(snr_list, records, path) -> None:
     """One row per SNR point, from its record: final BER and final-symbol MSE."""
     if len(snr_list) != len(records):
         raise ValueError(f"{len(snr_list)} SNR points but {len(records)} records")
+    rows = (
+        [_fmt(float(snr)), _fmt(rec.final_ber), _fmt(rec.mse[-1]), rec.diverged_runs]
+        for snr, rec in zip(snr_list, records)
+    )
+    _write_rows(path, "sweep", ["snr_db", "ber", "mse", "diverged_runs"], rows)
+
+
+def _write_rows(path, what: str, header: list[str], rows) -> None:
+    """Write the CSV file ``path``; an ``OSError`` names ``what`` and ``path``."""
     try:
         with open(path, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
-            writer.writerow(["snr_db", "ber", "mse", "diverged_runs"])
-            for snr, rec in zip(snr_list, records):
-                writer.writerow(
-                    [_fmt(float(snr)), _fmt(rec.final_ber), _fmt(rec.mse[-1]),
-                     rec.diverged_runs]
-                )
+            writer.writerow(header)
+            writer.writerows(rows)
     except OSError as exc:
-        raise OSError(f"cannot write sweep to {path}: {exc}") from exc
+        raise OSError(f"cannot write {what} to {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -440,14 +440,16 @@ class TestGenerateReceived:
 def mmse_system(cfg, signatures, channel_gains, loading):
     """Covariance and steering vector of the MMSE normal equations.
 
-    Built from :func:`build_convolution_matrix` alone: the previous, current
-    and next symbol windows of every user, weighted by the squared amplitude,
-    with ``loading`` added to the diagonal.  The real matrices are cast to
+    Built from :func:`build_convolution_matrix` alone: every user's windows
+    of the symbols ``-reach .. reach`` around the current one, ``reach =
+    ceil((n_paths - 1) / n_chips)``, weighted by the squared amplitude, with
+    ``loading`` added to the diagonal.  The real matrices are cast to
     complex on every call, as the receiver did before it kept complex stacks.
     """
     sigs = np.asarray(signatures, dtype=np.float64)
     h = np.asarray(channel_gains, dtype=np.complex128)
-    shifts = (-1, 0, 1)
+    reach = -(-(cfg.n_paths - 1) // cfg.n_chips)
+    shifts = range(-reach, reach + 1)
     mats = np.stack([
         build_convolution_matrix(sigs[k], cfg.n_paths, shift)
         for k in range(cfg.n_users)
@@ -556,6 +558,34 @@ class TestMmse:
                 assert_array_equal(got, want)
             else:
                 assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.linalg.norm(want))
+
+    @pytest.mark.parametrize("n_chips,n_paths", [(32, 9), (2, 9), (4, 9), (1, 5), (3, 1)])
+    def test_filter_is_the_exact_mmse_filter_of_the_received_windows(self, n_chips, n_paths):
+        # the exact normal equations, from generate_received alone: with
+        # one user's symbol a unit impulse and every other symbol zero, the
+        # noiseless windows around it are that symbol's contribution to each
+        # window it reaches; unit-power symbols make the covariance their
+        # summed outer products, and the steering vector is user 0's
+        # impulse in its own window
+        n_users = min(3, 2**n_chips)
+        cfg = CdmaConfig(n_users=n_users, n_chips=n_chips, n_paths=n_paths, snr_db=10.0,
+                         doppler=0.0, amplitudes=(1.0, 0.7, 0.4)[:n_users])
+        rng = np.random.default_rng(n_chips * 100 + n_paths)
+        sigs = generate_signatures(n_users, n_chips, rng)
+        n = 2 * n_paths + 1  # the impulse at symbol n_paths reaches every window it can
+        gains = ClarkeChannel(n_paths, 0.0, rng).run(n)
+        noise_var = cfg.noise_variance
+        cov = (noise_var + 1e-10) * np.eye(cfg.window_len, dtype=complex)
+        for k in range(n_users):
+            impulse = np.zeros((n_users, n), dtype=complex)
+            impulse[k, n_paths] = 1.0
+            (windows,) = joined(generate_received(cfg, sigs, gains, impulse, rng, (0.0,)))
+            cov += windows.T @ windows.conj()
+            if k == 0:
+                steering = windows[n_paths]
+        want = np.linalg.solve(cov, steering)
+        got = MmseReceiver(cfg, sigs, gains, noise_var).equivalent()
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_singular_covariance_falls_back_to_pinv(self):
         # the signature leaves the second sample empty and noise_var -1e-10

@@ -17,6 +17,7 @@ from rrfilt.cdma import (
 )
 from rrfilt.combiners import Clms, Combiner, SchemeA, SchemeB, sigmoid
 from rrfilt.filters import FullRankLms, JidfFilter
+from rrfilt.harness import _Receivers
 
 
 def _random_complex(rng, n):
@@ -58,8 +59,8 @@ U_MAX_LIMIT = _largest_u_max()
 
 
 def _randomize(f, rng):
-    f.v = _random_complex(rng, f.interp_len)
-    f.w_bar = _random_complex(rng, f.rank)
+    f.v = _random_complex(rng, f.lanes + (f.interp_len,))
+    f.w_bar = _random_complex(rng, f.lanes + (f.rank,))
     return f
 
 
@@ -440,15 +441,17 @@ _TREES = {
 }
 
 
-def _draw_constituents(data, rng, kind, m):
+def _draw_constituents(data, rng, kind, m, lanes=()):
     """Constituents of scheme ``kind`` at window length ``m``, in random
     states: full-tap LMS filters for ``fullrank`` and ``clms``, JIDF filters
-    of drawn sizes otherwise."""
+    of drawn sizes otherwise.  ``lanes`` is theirs: ``()`` for single
+    filters, ``(L,)`` for banks of L lanes."""
+    size = lanes or None
     filters = []
     for _ in range(len(_TREES.get(kind, ())) + 1):
         if kind in ("fullrank", "clms"):
-            f = FullRankLms(m, mu=float(rng.uniform(0, 0.2)))
-            f.w = _random_complex(rng, m)
+            f = FullRankLms(m, mu=rng.uniform(0, 0.2, size))
+            f.w = _random_complex(rng, lanes + (m,))
             filters.append(f)
             continue
         rank = data.draw(st.integers(1, m), label="rank")
@@ -457,9 +460,9 @@ def _draw_constituents(data, rng, kind, m):
         )
         f = JidfFilter(
             m, data.draw(st.integers(1, m), label="interp_len"), rank, n_branches,
-            eta=float(rng.uniform(0, 0.05)), mu=float(rng.uniform(0, 0.2)),
+            eta=rng.uniform(0, 0.05, size), mu=rng.uniform(0, 0.2, size),
         )
-        _randomize(f, rng).last_b_opt = int(rng.integers(n_branches))
+        _randomize(f, rng).last_b_opt = rng.integers(n_branches, size=size)
         filters.append(f)
     return filters
 
@@ -532,11 +535,12 @@ def _draw_oracle(data, rng) -> MmseReceiver:
 
 
 def _state(scheme) -> tuple:
-    """Every adapted quantity of a scheme, as exact bytes and reprs."""
-    filters = getattr(scheme, "filters", [scheme])
+    """Every adapted quantity of a scheme or bank, as exact bytes and reprs."""
+    filters = getattr(scheme, "filters", getattr(scheme, "receivers", [scheme]))
     leaves = tuple(
         (f.w.tobytes(),) if isinstance(f, FullRankLms)
-        else (f.v.tobytes(), f.w_bar.tobytes(), f.last_b_opt) if isinstance(f, JidfFilter)
+        else (f.v.tobytes(), f.w_bar.tobytes(), f.last_b_opt.tobytes())
+        if isinstance(f, JidfFilter)
         else (f.symbol,)  # the MMSE receiver's position in its run
         for f in filters
     )
@@ -588,5 +592,50 @@ class TestDecisionDirectedStep:
             assert [repr(y) for y in seen] == [repr(prediction)]
             for name in ("y", "e", "branches", "lambdas"):
                 assert repr(getattr(got, name)) == repr(getattr(want, name)), name
+            assert _state(by_function) == _state(by_symbol)
+            scheme = by_function
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_bank_decision_function_equals_sliced_predictions(self, data):
+        # the harness steps banks: for every lane, step(r, decide) must be
+        # step(r, [decide(p) for p in predict(r)]) bit for bit
+        kind = data.draw(
+            st.sampled_from(["fullrank", "jidf", "mmse", *sorted(_TREES)]), label="scheme"
+        )
+        n_lanes = data.draw(st.integers(1, 4), label="lanes")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        if kind == "mmse":
+            # the harness's bank of receivers, one per lane
+            rx = _draw_oracle(data, rng)
+            scheme, m = _Receivers([copy.deepcopy(rx) for _ in range(n_lanes)]), rx.num_taps
+        else:
+            m = data.draw(st.integers(1, 12), label="num_taps")
+            filters = _draw_constituents(data, rng, kind, m, (n_lanes,))
+            mus = [float(rng.uniform(0, 2)) for _ in _TREES.get(kind, ())]
+            tree = {"clms": Clms, "scheme_b": SchemeB, "scheme_a": SchemeA}.get(kind)
+            scheme = filters[0] if tree is None else tree(filters, mus)
+        for c in getattr(scheme, "combiners", []):
+            c.u = float(rng.uniform(-c.u_max, c.u_max))
+        for _ in range(3):
+            r = np.array([_random_complex(rng, m) for _ in range(n_lanes)])
+            by_function, by_symbol = copy.deepcopy(scheme), copy.deepcopy(scheme)
+            seen = []
+
+            def decide(y):
+                seen.append(y)
+                return detect_qpsk(y)
+
+            got = by_function.step(r, decide)
+            if kind == "mmse":
+                predictions = [rx.predict(w) for rx, w in zip(by_symbol.receivers, r)]
+            else:
+                predictions = by_symbol.predict(r)
+            want = by_symbol.step(r, [detect_qpsk(p) for p in predictions])
+            assert repr(seen) == repr(list(predictions))
+            assert len(got) == len(want) == n_lanes
+            for g, w in zip(got, want):
+                for name in ("y", "e", "branches", "lambdas"):
+                    assert repr(getattr(g, name)) == repr(getattr(w, name)), name
             assert _state(by_function) == _state(by_symbol)
             scheme = by_function

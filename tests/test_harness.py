@@ -224,12 +224,17 @@ combiners: {mu_c: 0.25}
     ], ids=["combiners_none", "combiners_number", "mu_c_string", "mu_c_bool",
             "branches_none", "branch_mapping", "cdma_mapping", "seed_string"])
     def test_wrong_types_are_config_errors(self, scheme, changes, key):
-        with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be "):
-            tiny_config(scheme, **changes).validate()
+        # a run or a sweep validates before it reads the noise variance
+        cfg = tiny_config(scheme, **changes)
+        for call in (cfg.validate, lambda: run_experiment(cfg), lambda: snr_sweep(cfg, [6.0])):
+            with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be "):
+                call()
 
     def test_null_sections_take_the_defaults(self):
-        cfg = config_from_dict({"scheme": "mmse", "branches": None, "combiners": None})
-        assert cfg.branches == [] and cfg.combiners == {}
+        cfg = config_from_dict(
+            {"scheme": "mmse", "cdma": None, "branches": None, "combiners": None}
+        )
+        assert cfg.branches == [] and cfg.combiners == {} and cfg.cdma == CdmaConfig()
 
     def test_unknown_keys_of_mixed_types_are_listed(self):
         with pytest.raises(ConfigError, match=r"unknown configuration keys: \[1, 'foo'\]"):
@@ -788,7 +793,8 @@ class TestMonteCarloEngine:
         monkeypatch.setattr(
             harness, "_reduce", lambda point, runs: types.SimpleNamespace(runs=runs)
         )
-        (seen,) = harness._monte_carlo([tiny_config("jidf", n_runs=4)])
+        cfg = tiny_config("jidf", n_runs=4)
+        (seen,) = harness._monte_carlo(cfg, (cfg.cdma.noise_variance,))
         assert pools == [2]
         assert seen.runs == [1] * 4
 
