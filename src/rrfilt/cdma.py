@@ -196,8 +196,8 @@ class ClarkeChannel:
     def __init__(self, n_paths: int, doppler: float, rng: np.random.Generator):
         if n_paths < 1:
             raise ValueError("n_paths must be >= 1")
-        if doppler < 0:
-            raise ValueError("doppler must be non-negative")
+        if not (math.isfinite(doppler) and doppler >= 0):
+            raise ValueError("doppler must be finite and non-negative")
         self.n_paths = int(n_paths)
         self.doppler = float(doppler)
         powers = 10.0 ** (np.asarray(PATH_PROFILE_DB, dtype=np.float64) / 10.0)

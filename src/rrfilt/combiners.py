@@ -54,8 +54,8 @@ class Combiner:
     """
 
     def __init__(self, mu: float, u_max: float = 4.0):
-        if not mu >= 0:
-            raise ValueError("combiner step size mu must be non-negative")
+        if not (math.isfinite(mu) and mu >= 0):
+            raise ValueError("combiner step size mu must be finite and non-negative")
         if not (u_max > 0 and sigmoid(u_max) < 1.0):
             raise ValueError(
                 f"u_max must be positive with sigmoid(u_max) < 1 (up to about 36.73), "

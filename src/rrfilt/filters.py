@@ -99,12 +99,12 @@ class _State:
 
 def _step_sizes(*values) -> list[np.ndarray]:
     """Each step size as a float array of one shape: ``()`` for a single
-    filter, ``(L,)`` for a bank of L lanes.  Refuses negative sizes."""
+    filter, ``(L,)`` for a bank of L lanes; only finite sizes >= 0 pass."""
     sizes = np.broadcast_arrays(*(np.array(v, dtype=np.float64) for v in values))
     if sizes[0].ndim > 1 or sizes[0].shape == (0,):
         raise ValueError("give one step size, or one per lane")
-    if not all((s >= 0).all() for s in sizes):
-        raise ValueError("step sizes must be non-negative")
+    if not all((np.isfinite(s) & (s >= 0)).all() for s in sizes):
+        raise ValueError("step sizes must be finite and non-negative")
     return [s.copy() for s in sizes]
 
 

@@ -424,14 +424,13 @@ def _complexity(cfg: ExperimentConfig) -> tuple[int, int] | None:
 
 @dataclass
 class _RunResult:
-    """One run at one SNR point.  A diverged run's arrays stop where it
-    diverged; the reduction reads only its flag."""
+    """One run at one SNR point, as its steps reported it.  A diverged run's
+    rows stop where it diverged; the reduction reads only its flag and columns."""
 
     errors: np.ndarray  # (n_symbols,) uint8 slicer-decision errors
     sq_err: np.ndarray  # (n_symbols,) |d - y|^2
     lambdas: np.ndarray  # (n_symbols, n_nodes) mixing values, in node order
-    b_opt: np.ndarray  # (n_symbols,) first constituent branch; empty without branches
-    branch_hist: np.ndarray  # (n_branches,) selections over all constituents
+    branches: np.ndarray  # (n_symbols, constituents) int64 winning branches, or (n_symbols, 0)
     diverged: bool
 
 
@@ -480,16 +479,15 @@ def _run_lanes(cfg, received, desired, scheme) -> list[_RunResult]:
     A lane diverges at its first symbol whose output or squared error is not
     finite (overflow is expected for aggressive step sizes); its record
     stops there, while its bank lane runs on beside the others, which it
-    cannot reach.  The loop ends when every lane has diverged."""
+    cannot reach.  The loop ends when every lane has diverged.
+
+    A lane records what its steps report, its branches as ``(n_symbols,
+    constituents)``; the node and constituent counts come from the steps."""
     n = cfg.n_symbols
     supervised_until = n if cfg.train_mode == "supervised" else cfg.train_symbols
-    n_lanes = len(desired)
-    # per-symbol bookkeeping in typed buffers (8 bytes a value at most),
-    # made arrays once per lane
-    errors, sq_err, lambdas, b_opt, picks = (
-        [array.array(code) for _ in desired] for code in "Bddqq"
-    )
-    live = list(range(n_lanes))
+    # per-symbol bookkeeping in typed buffers (8 bytes a value at most)
+    errors, sq_err, lambdas, branches = ([array.array(c) for _ in desired] for c in "Bddq")
+    live = list(range(len(desired)))
     blocks, lo, hi = [], 0, 0  # every lane's current slice, of symbols lo .. hi - 1
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -511,26 +509,21 @@ def _run_lanes(cfg, received, desired, scheme) -> list[_RunResult]:
                 errors[t].append(detect_qpsk(y) != desired[t][i])
                 sq_err[t].append(err_sq)
                 lambdas[t].extend(res.lambdas)
-                if res.branches:
-                    b_opt[t].append(res.branches[0])
-                    picks[t].extend(res.branches)
+                branches[t].extend(res.branches)
             if not live:
                 break
     del blocks, windows  # the windows are done with before the records are made
 
-    n_nodes = len(_SCHEMES[cfg.scheme].nodes)
+    n_nodes, n_filters = len(results[0].lambdas), len(results[0].branches)
     return [
         _RunResult(
             errors=np.array(errors[t], dtype=np.uint8),
             sq_err=np.array(sq_err[t], dtype=np.float64),
             lambdas=np.array(lambdas[t], dtype=np.float64).reshape(len(sq_err[t]), n_nodes),
-            b_opt=np.array(b_opt[t], dtype=np.int64),
-            branch_hist=np.bincount(
-                np.array(picks[t], dtype=np.int64), minlength=cfg.n_branches
-            ),
+            branches=np.array(branches[t], dtype=np.int64).reshape(len(sq_err[t]), n_filters),
             diverged=t not in live,
         )
-        for t in range(n_lanes)
+        for t in range(len(desired))
     ]
 
 
@@ -620,51 +613,44 @@ def _monte_carlo(cfg: ExperimentConfig, noise_vars: tuple[float, ...]) -> list[E
 
 
 def _reduce(cfg: ExperimentConfig, runs: list[_RunResult]) -> ExperimentRecord:
-    """Aggregate one point's runs of ``cfg``, given in run-index order
-    (``wall_time`` and ``complexity`` are left for the caller)."""
-    good = [r for r in runs if not r.diverged]
-    diverged = cfg.n_runs - len(good)
+    """Aggregate one point's runs of ``cfg``, given in run-index order, by one
+    path for any number k >= 0 of surviving runs: each mean is the survivors'
+    sum divided by k, NaN when none survive.  The node count, and whether the
+    scheme has branches, come from the runs' own array shapes (``wall_time``
+    and ``complexity`` are left for the caller)."""
     n = cfg.n_symbols
-    spec = _SCHEMES[cfg.scheme]
-    reduced_rank = spec.leaf is JidfFilter
+    good = [r for r in runs if not r.diverged]
+    k = len(good)
 
-    if good:
-        err_counts = np.sum([r.errors for r in good], axis=0).astype(np.float64)
-        cumulative = np.cumsum(err_counts) / (np.arange(1, n + 1) * len(good))
-        mse = np.mean([r.sq_err for r in good], axis=0)
-        lam = np.mean([r.lambdas for r in good], axis=0)  # (n, n_nodes)
-        hist = np.sum([r.branch_hist for r in good], axis=0)
-        per_run = np.array(
-            [r.errors.sum() / n if not r.diverged else np.nan for r in runs]
-        )
-        if reduced_rank:
-            stacked = np.stack([r.b_opt for r in good])  # (runs, n)
-            counts = np.zeros((cfg.n_branches, n), dtype=np.int64)
-            cols = np.broadcast_to(np.arange(n), stacked.shape)
-            np.add.at(counts, (stacked, cols), 1)
-            mode = counts.argmax(axis=0)
-        else:
-            mode = None
-    else:
-        cumulative = np.full(n, np.nan)
-        mse = np.full(n, np.nan)
-        lam = np.full((n, len(spec.nodes)), np.nan)
-        hist = np.zeros(cfg.n_branches, dtype=np.int64)
-        per_run = np.full(cfg.n_runs, np.nan)
-        mode = None
+    def stack(name: str) -> np.ndarray:  # the survivors' arrays as one (k, n, ...) array
+        ref = getattr(runs[0], name)  # its columns, if any, are every run's
+        return np.array([getattr(r, name) for r in good], ref.dtype).reshape(k, n, *ref.shape[1:])
+
+    def mean(total, count) -> np.ndarray:  # np.nan when no run survives (0 / 0 is a -NaN)
+        return np.divide(total, count, out=np.full(np.shape(total), np.nan), where=k > 0)
+
+    errors, branches = stack("errors"), stack("branches")
+    cumulative = mean(np.cumsum(errors.sum(axis=0).astype(np.float64)), np.arange(1, n + 1) * k)
+    hist = mode = None
+    if branches.shape[2]:
+        hist = np.bincount(branches.reshape(-1), minlength=cfg.n_branches)
+        first = branches[:, :, 0]  # (k, n): each run's first constituent
+        counts = np.zeros((cfg.n_branches, n), dtype=np.int64)
+        np.add.at(counts, (first, np.broadcast_to(np.arange(n), first.shape)), 1)
+        mode = counts.argmax(axis=0) if k else None
 
     return ExperimentRecord(
         scheme=cfg.scheme,
         n_symbols=n,
         n_runs=cfg.n_runs,
-        diverged_runs=diverged,
+        diverged_runs=cfg.n_runs - k,
         cumulative_ber=cumulative,
-        mse=mse,
-        lambdas=lam,
+        mse=mean(stack("sq_err").sum(axis=0), k),
+        lambdas=mean(stack("lambdas").sum(axis=0), k),
         b_opt_mode=mode,
-        branch_hist=hist if reduced_rank else None,
-        per_run_ber=per_run,
-        final_ber=float(cumulative[-1]) if n else float("nan"),
+        branch_hist=hist,
+        per_run_ber=np.array([np.nan if r.diverged else r.errors.sum() / n for r in runs]),
+        final_ber=float(cumulative[-1]),
         wall_time=math.nan,
         complexity=None,
     )

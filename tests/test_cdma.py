@@ -180,6 +180,13 @@ class TestClarkeChannel:
         gains = ClarkeChannel(5, 0.0, np.random.default_rng(6)).run(11)
         assert_array_equal(gains, np.broadcast_to(gains[0], gains.shape))
 
+    @pytest.mark.parametrize("doppler", [np.inf, np.nan, -1e-3])
+    def test_doppler_must_be_finite_and_non_negative(self, doppler):
+        # a library caller's channel: an infinite Doppler would give NaN gains
+        rng = np.random.default_rng(6)
+        with pytest.raises(ValueError, match="doppler must be finite and non-negative"):
+            ClarkeChannel(9, doppler, rng)
+
     def test_run_is_stateless(self):
         # every call gives symbols 0 .. n - 1; the channel keeps no clock
         ch = ClarkeChannel(9, 0.01, np.random.default_rng(9))

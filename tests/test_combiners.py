@@ -115,6 +115,13 @@ class TestCombiner:
             with pytest.raises(ValueError, match="u_max must be positive"):
                 Combiner(1e6, u_max=u_max)
 
+    @pytest.mark.parametrize("mu", [np.inf, -np.inf, np.nan, -0.25])
+    def test_step_size_must_be_finite_and_non_negative(self, mu):
+        # an infinite step times a zero gradient makes the mixing value NaN,
+        # and every run would then be counted as diverged
+        with pytest.raises(ValueError, match="mu must be finite and non-negative"):
+            Combiner(mu)
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0.0, np.nan)])
     @pytest.mark.parametrize("slot", ["y1", "y2", "e"])
     def test_non_finite_input_leaves_mixing_unchanged(self, slot, bad):

@@ -358,6 +358,23 @@ class TestValidation:
         with pytest.raises(ValueError):
             JidfFilter(4, 2, 5, 1, eta=0.01, mu=0.01)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, -0.01])
+    @pytest.mark.parametrize("lane", [0, 1])
+    def test_every_lane_needs_a_finite_non_negative_step_size(self, lane, bad):
+        # one bad lane of a two-lane bank refuses the whole bank, as a single
+        # filter would refuse it
+        sizes = [0.05, 0.05]
+        sizes[lane] = bad
+        message = "step sizes must be finite and non-negative"
+        with pytest.raises(ValueError, match=message):
+            FullRankLms(6, sizes)
+        with pytest.raises(ValueError, match=message):
+            JidfFilter(6, 2, 3, 2, eta=sizes, mu=[0.05, 0.05])
+        with pytest.raises(ValueError, match=message):
+            JidfFilter(6, 2, 3, 2, eta=[0.01, 0.01], mu=sizes)
+        with pytest.raises(ValueError, match=message):
+            FullRankLms(6, bad)
+
     def test_dimension_mismatch_on_step(self):
         f = JidfFilter(6, 2, 3, 2, eta=0.01, mu=0.05)
         with pytest.raises(ValueError):

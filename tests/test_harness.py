@@ -745,6 +745,49 @@ class TestMonteCarloEngine:
             assert_same_record(rec, run_experiment(point))
         assert pools == ([2] * 4 if threads == "2" else [])
 
+    def test_reduction_under_partial_and_total_divergence(self, monkeypatch):
+        # a reduced-rank scheme (CI's tiny scheme_a config) whose runs all
+        # survive at 6 dB, half diverge at -8 dB and all diverge at -30 dB
+        monkeypatch.setenv("RRFILT_THREADS", "1")
+        cfg = config_from_dict(dict(
+            scheme="scheme_a", seed=11, n_symbols=200, n_runs=4, n_branches=4,
+            cdma=dict(users=4, chips=16, paths=5, snr_db=12.0, doppler=1e-3),
+            branches=[
+                dict(rank=3, interp_len=3, eta=0.01, mu=0.1),
+                dict(rank=6, interp_len=4, eta=0.01, mu=0.1),
+                dict(rank=3, interp_len=3, eta=0.0075, mu=0.01),
+                dict(rank=6, interp_len=4, eta=0.0075, mu=0.01),
+            ],
+        ))
+        snrs = [6.0, -8.0, -30.0]
+        points = [dataclasses.replace(cfg, cdma=dataclasses.replace(cfg.cdma, snr_db=snr))
+                  for snr in snrs]
+        swept = snr_sweep(cfg, snrs)
+        assert [rec.diverged_runs for rec in swept] == [0, 2, 4]
+        # each run's per-run BER is NaN exactly where that run diverged
+        unit = harness._single_run(cfg, tuple(p.cdma.noise_variance for p in points), range(4))
+        for k, rec in enumerate(swept):
+            assert np.isnan(rec.per_run_ber).tolist() == [run[k].diverged for run in unit]
+            assert rec.branch_hist.dtype == np.int64 and rec.branch_hist.shape == (4,)
+        partial, total = swept[1], swept[2]
+        assert partial.final_ber == pytest.approx(np.nanmean(partial.per_run_ber))
+        # 2 surviving runs, 4 constituents, 200 symbols
+        assert partial.branch_hist.sum() == 2 * 4 * 200
+        assert partial.b_opt_mode.shape == (200,)
+        assert ((partial.b_opt_mode >= 0) & (partial.b_opt_mode < 4)).all()
+        # no survivor: every average NaN, in its usual shape, and no branches
+        assert total.cumulative_ber.shape == total.mse.shape == (200,)
+        assert np.isnan(total.cumulative_ber).all() and np.isnan(total.mse).all()
+        assert total.lambdas.shape == (200, 3) and np.isnan(total.lambdas).all()
+        assert np.isnan(total.per_run_ber).all() and math.isnan(total.final_ber)
+        # np.nan's bits, where a 0 / 0 mean would set the sign bit
+        for values in (total.cumulative_ber, total.mse, total.lambdas):
+            assert values.tobytes() == np.full(values.shape, np.nan).tobytes()
+        assert total.branch_hist.tolist() == [0, 0, 0, 0]
+        assert total.b_opt_mode is None
+        for point, rec in zip(points, swept):
+            assert_same_record(rec, run_experiment(point))
+
     def test_one_pool_per_call(self, monkeypatch, pools):
         monkeypatch.setenv("RRFILT_THREADS", "2")
         snr_sweep(tiny_config("scheme_b", n_runs=4), [6.0, 12.0, 18.0])
@@ -1025,6 +1068,9 @@ _NON_FINITE = {
     "branch_mu_nan": lambda c: c["branches"][0].update(mu=math.nan),
     "branch_eta_nan": lambda c: c["branches"][1].update(eta=math.nan),
     "mu_c_nan": lambda c: c.update(combiners={"mu_c": math.nan}),
+    "branch_mu_inf": lambda c: c["branches"][0].update(mu=math.inf),
+    "branch_eta_inf": lambda c: c["branches"][1].update(eta=math.inf),
+    "mu_c_inf": lambda c: c.update(combiners={"mu_c": math.inf}),
 }
 # amplitude edits, applied to configs/mmse.yaml and configs/scheme_b.yaml;
 # the MMSE covariance weights are amplitudes**2
