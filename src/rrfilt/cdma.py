@@ -114,10 +114,17 @@ _KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
 def _check_kind(kind: type, value, key: str) -> None:
     """Raise a ``ValueError`` naming ``key`` unless ``value`` is a ``kind``;
-    a number (``kind`` float) may be an integer, and booleans are neither.
-    A kind outside ``_KIND_NAMES`` is named by its class name."""
+    a number (``kind`` float) may be an integer that a float holds, and
+    booleans are neither.  A kind outside ``_KIND_NAMES`` is named by its
+    class name."""
     allowed = (int, float) if kind is float else kind
-    if isinstance(value, bool) or not isinstance(value, allowed):
+    bad = isinstance(value, bool) or not isinstance(value, allowed)
+    if not bad and kind is float:
+        try:
+            float(value)
+        except OverflowError:
+            bad = True
+    if bad:
         what = _KIND_NAMES.get(kind, f"a {kind.__name__}")
         raise ValueError(f"{key} must be {what}, got {value!r}")
 

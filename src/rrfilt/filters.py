@@ -40,12 +40,13 @@ windows for full-tap LMS and, for JIDF, the Hankel regressors (one
 ``predict`` and ``step`` are thin wrappers over ``_predict(x)`` and
 ``_step(x, d)`` on that input, so a decision-directed step builds one
 regressor per lane, not two, and a mixing tree prepares each bank once for
-both its prediction and its step.  ``_step`` runs ``_forward`` (outputs,
-branch choice, gradients) then ``_commit`` (coefficient updates), the
-forward-pass/commit boundary the benchmark times.  The hand-off is plain
-arrays over the lanes: ``_forward`` returns ``(y, e)`` for full-tap LMS and
-``(y, e, b_opt, r_bar, u)`` for JIDF, and ``_commit`` takes the error and
-the regressors it applies.
+both its prediction and its step.  Both families share ``_step``: it runs
+``_forward`` (outputs, branch choice, gradients) then ``_commit``
+(coefficient updates), the forward-pass/commit boundary the benchmark
+times.  The hand-off is plain arrays over the lanes, one shape for both:
+``_forward`` returns ``(y, e, b, *regressors)`` (``(y, e, None, x)`` for
+full-tap LMS, ``(y, e, b_opt, r_bar, u)`` for JIDF), and ``_commit`` takes
+``(e, b, *regressors)``.
 
 Every lane's operand keeps the layout a single filter's has (contiguous
 branch outputs and Hankel rows, the transposed row gather for the
@@ -133,20 +134,25 @@ class _Bank:
 
     def step(self, r, d):
         """Filter one window per lane and adapt.  ``d`` is the desired
-        response (one per lane for a bank) or a decision function of each
-        lane's output."""
-        return self._results(*self._step(self._input(r), d))
+        response (one per lane for a bank) or a decision function, applied
+        to each lane's pre-update prediction."""
+        x = self._input(r)
+        if callable(d):
+            out = [d(v) for v in np.ravel(self._predict(x)).tolist()]
+            d = np.array(out, dtype=np.complex128).reshape(self.lanes)
+        return self._results(*self._step(x, d))
+
+    def _step(self, x, d) -> tuple:
+        """``(y, e, b)`` of one step of every lane toward the targets ``d``."""
+        y, e, b, *regressors = self._forward(x, d)
+        self._commit(e, b, *regressors)
+        return y, e, b
 
     def _results(self, y, e, b) -> StepResult | list[StepResult]:
         ys, es = np.ravel(y).tolist(), np.ravel(e).tolist()
         bs = [()] * len(ys) if b is None else [(v,) for v in np.ravel(b).tolist()]
         results = [StepResult(y, e, b, ()) for y, e, b in zip(ys, es, bs)]
         return results if self.lanes else results[0]
-
-    def _each_lane(self, fn, values) -> np.ndarray:
-        """``fn`` applied to each lane's value, as a complex array."""
-        out = [fn(v) for v in np.ravel(values).tolist()]
-        return np.array(out, dtype=np.complex128).reshape(self.lanes)
 
     @classmethod
     def _join(cls, members) -> _Bank:
@@ -215,19 +221,11 @@ class FullRankLms(_Bank):
     def _predict(self, x) -> np.ndarray:
         return np.vecdot(self.w, x)
 
-    def _step(self, x, d) -> tuple[np.ndarray, np.ndarray, None]:
-        """``(y, e, None)`` of one step of every lane (no branches)."""
-        y, e = self._forward(x, d)
-        self._commit(e, x)
-        return y, e, None
-
-    def _forward(self, x, d) -> tuple[np.ndarray, np.ndarray]:
+    def _forward(self, x, d) -> tuple:
         y = self._predict(x)
-        if callable(d):
-            d = self._each_lane(d, y)
-        return y, np.subtract(d, y)
+        return y, np.subtract(d, y), None, x
 
-    def _commit(self, e, x) -> None:
+    def _commit(self, e, b, x) -> None:
         w = self.w
         w += (self.mu * np.conj(e))[..., None] * x
 
@@ -346,14 +344,6 @@ class JidfFilter(_Bank):
         hankel, cv, cw = x
         rows = hankel.reshape(-1, self.interp_len).take(self._winner_rows(self.last_b_opt), 0)
         return np.vecdot(np.conj(np.matvec(rows, cv)), cw)
-
-    def _step(self, x, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(y, e, b_opt)`` of one step of every lane."""
-        if callable(d):
-            d = self._each_lane(d, self._predict(x))
-        y, e, b_opt, r_bar, u = self._forward(x, d)
-        self._commit(e, b_opt, r_bar, u)
-        return y, e, b_opt
 
     def _forward(self, x, d) -> tuple[np.ndarray, ...]:
         """Pre-update outputs of every branch; each lane's winning output,

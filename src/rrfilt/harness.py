@@ -683,7 +683,7 @@ def snr_sweep(cfg: ExperimentConfig, snr_list) -> list[ExperimentRecord]:
     for snr in snr_list:
         try:
             noise_vars.append(dataclasses.replace(cfg.cdma, snr_db=float(snr)).noise_variance)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ConfigError(f"SNR point {snr!r}: {exc}") from exc
     return _monte_carlo(cfg, tuple(noise_vars))
 

@@ -141,6 +141,11 @@ class TestSignatures:
         ("n_chips", "8", "n_chips must be an integer"),
         ("snr_db", "15", "snr_db must be a number"),
         ("amplitudes", 1.0, "amplitudes must be a list"),
+        # integers past the float range, which float() cannot hold
+        pytest.param("doppler", 10**400, "doppler must be a number", id="doppler-huge_int"),
+        pytest.param("snr_db", 10**400, "snr_db must be a number", id="snr_db-huge_int"),
+        pytest.param("amplitudes", (10**400,) * 8, r"amplitudes\[0\] must be a number",
+                     id="amplitudes-huge_int"),
     ])
     def test_config_names_a_wrong_typed_field(self, field, value, message):
         # a library caller's value, which no config file converted first

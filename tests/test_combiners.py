@@ -638,6 +638,10 @@ class TestDecisionDirectedStep:
                 predictions = [rx.predict(w) for rx, w in zip(by_symbol.receivers, r)]
             else:
                 predictions = by_symbol.predict(r)
+                eq = by_symbol.equivalent()  # one window-length filter per lane
+                for t in range(n_lanes):
+                    y_eq = np.vdot(eq[t], r[t])
+                    assert abs(y_eq - predictions[t]) <= 1e-10 * (1 + abs(predictions[t]))
             want = by_symbol.step(r, [detect_qpsk(p) for p in predictions])
             assert repr(seen) == repr(list(predictions))
             assert len(got) == len(want) == n_lanes

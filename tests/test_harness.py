@@ -92,6 +92,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="branch"):
             cfg.validate()
 
+    @pytest.mark.parametrize("changes,message", [
+        ({"train_mode": "batch"}, "train_mode must be 'supervised' or 'semi'"),
+        ({"train_mode": "semi", "train_symbols": -1}, "train_symbols must be >= 0"),
+    ], ids=["batch", "semi_negative"])
+    def test_training_rules(self, changes, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            tiny_config("jidf", **changes).validate()
+        # supervised training never reads train_symbols
+        tiny_config("jidf", train_symbols=-1).validate()
+
     def test_reduced_rank_branches_need_all_fields(self):
         cfg = tiny_config("jidf")
         cfg.branches = [BranchParams(mu=0.05)]
@@ -115,6 +125,11 @@ class TestConfigValidation:
             )
         with pytest.raises(ConfigError, match="unknown combiners keys"):
             config_from_dict({"scheme": "mmse", "combiners": {"mu_z": 0.1}})
+        # the root itself: a mapping that names a scheme
+        with pytest.raises(ConfigError, match="configuration root must be a mapping"):
+            config_from_dict([{"scheme": "mmse"}])
+        with pytest.raises(ConfigError, match="configuration must name a scheme"):
+            config_from_dict({"seed": 3})
 
     def test_yaml_round_trip(self, tmp_path):
         text = """
@@ -123,9 +138,9 @@ seed: 7
 n_symbols: 50
 n_runs: 2
 n_branches: 2
-cdma: {users: 2, chips: 8, paths: 3, snr_db: 12.0, doppler: 1.0e-3}
+cdma: {users: 2, chips: 8, paths: 3, snr_db: 12.0, doppler: 1e-3}
 branches:
-  - {rank: 2, interp_len: 2, eta: 0.01, mu: 0.1}
+  - {rank: 2, interp_len: 2, eta: 1e-2, mu: 0.1}
   - {rank: 5, interp_len: 3, eta: 0.005, mu: 0.02}
 combiners: {mu_c: 0.25}
 """
@@ -136,6 +151,9 @@ combiners: {mu_c: 0.25}
         assert cfg.cdma.n_chips == 8
         assert cfg.branches[1].rank == 5
         assert cfg.combiners == {"mu_c": 0.25}
+        # YAML 1.1 reads a dotless exponent as a string; it loads as the number
+        assert yaml.safe_load(text)["cdma"]["doppler"] == "1e-3"
+        assert cfg.cdma.doppler == 1.0e-3 and cfg.branches[0].eta == 1.0e-2
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.yaml"
@@ -221,8 +239,11 @@ combiners: {mu_c: 0.25}
         ("fullrank", {"branches": [{"mu": 0.1}]}, "branches[0]"),
         ("fullrank", {"cdma": {}}, "cdma"),
         ("fullrank", {"seed": "1"}, "seed"),
+        # an integer past the float range is no number: float() overflows
+        ("scheme_b", {"u_max": 10**400}, "u_max"),
     ], ids=["combiners_none", "combiners_number", "mu_c_string", "mu_c_bool",
-            "branches_none", "branch_mapping", "cdma_mapping", "seed_string"])
+            "branches_none", "branch_mapping", "cdma_mapping", "seed_string",
+            "u_max_huge_int"])
     def test_wrong_types_are_config_errors(self, scheme, changes, key):
         # a run or a sweep validates before it reads the noise variance
         cfg = tiny_config(scheme, **changes)
@@ -808,8 +829,9 @@ class TestMonteCarloEngine:
             raise AssertionError("a run started")
 
         monkeypatch.setattr(harness, "_single_run", unit_must_not_run)
-        with pytest.raises(ConfigError, match="SNR point"):
-            snr_sweep(tiny_config("jidf"), [12.0, math.nan])
+        for point in (math.nan, 10**400):  # 10**400: past the float range
+            with pytest.raises(ConfigError, match="SNR point"):
+                snr_sweep(tiny_config("jidf"), [12.0, point])
         bad = tiny_config("jidf", n_runs=0)
         with pytest.raises(ConfigError, match="n_runs"):
             snr_sweep(bad, [6.0, 12.0])
@@ -1079,6 +1101,7 @@ _BAD_CDMA = {
     "interferer_amplitude_nan": lambda c: c["cdma"]["amplitudes"].__setitem__(3, math.nan),
     "desired_amplitude_inf": lambda c: c["cdma"]["amplitudes"].__setitem__(0, math.inf),
     "interferer_amplitude_inf": lambda c: c["cdma"]["amplitudes"].__setitem__(3, math.inf),
+    "one_amplitude_short": lambda c: c["cdma"]["amplitudes"].pop(),
 }
 # values that do not convert to the key's type: (edit, key named in the error)
 _UNCONVERTIBLE = {
@@ -1195,6 +1218,16 @@ class TestCliRejectsBadValues:
         assert main(args + (["--snr", "10"] if command == "sweep" else [])) == 1
         assert capsys.readouterr().err.startswith("error: seed must be >= 0")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command,what", [("run", "results"), ("sweep", "sweep")])
+    def test_unwritable_out_reported(self, tmp_path, capsys, command, what):
+        cfg = self._edited(tmp_path, lambda c: None)
+        out = tmp_path / "missing" / "o.csv"  # its directory does not exist
+        args = [command, "--config", str(cfg), "--out", str(out)]
+        assert main(args + (["--snr", "10"] if command == "sweep" else [])) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {what} to {out}: ")
+        assert "Traceback" not in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_more_users_than_signatures(self, tmp_path, capsys, command):
