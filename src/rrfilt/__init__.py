@@ -21,8 +21,12 @@ harness
 Every scheme, one filter, a tree of them or the MMSE receiver, can ``step(r, d)``
 (returning a ``StepResult``), ``predict(r)`` without adapting, and give its
 ``equivalent()`` window-length filter, with ``equivalent()^H r == predict(r)``.
-``d`` may be a decision function such as ``detect_qpsk``, applied to the
-pre-update output (decision-directed adaptation).
+``d`` is one target per lane for a bank, or a decision function such as
+``detect_qpsk``, applied to the pre-update output (decision-directed
+adaptation).  ``step`` and ``predict`` are written once, in
+``filters._Scheme``, over each scheme's hooks ``_input``, ``_outputs`` and
+``_advance``, so ``step(r, decide) == step(r, decide(predict(r)))`` holds
+by construction.
 """
 
 from .cdma import (

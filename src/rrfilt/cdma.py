@@ -18,6 +18,12 @@ Path gains evolve by a sum-of-sinusoids generator with the classic
 isotropic-scattering statistics (Rayleigh envelope, Bessel autocorrelation):
 per path, ``N_OSCILLATORS`` equally spaced arrival angles over a half circle
 with a random rotation, a random phase per oscillator.
+
+The clairvoyant :class:`MmseReceiver` is a scheme (:class:`rrfilt.filters._Scheme`)
+that does not adapt: its ``equivalent()`` is the MMSE filter of the current
+symbol's snapshot, its prepared input ``_input(r)`` is already its output
+through that filter (``_outputs``; one solve), and its ``_advance`` moves
+on to the next symbol.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filters import StepResult
+from .filters import StepResult, _Scheme
 from .signalcore import _window
 
 SQRT2 = float(np.sqrt(2.0))
@@ -65,7 +71,8 @@ class CdmaConfig:
             _check_kind(float, getattr(self, name), name)
         if self.amplitudes is not None:
             if not isinstance(self.amplitudes, (list, tuple)):
-                raise ValueError(f"amplitudes must be a list of numbers, got {self.amplitudes!r}")
+                got = _shown(self.amplitudes)
+                raise ValueError(f"amplitudes must be a list of numbers, got {got}")
             for i, a in enumerate(self.amplitudes):
                 _check_kind(float, a, f"amplitudes[{i}]")
         if self.n_users < 1 or self.n_chips < 1 or self.n_paths < 1:
@@ -73,7 +80,7 @@ class CdmaConfig:
         # n_users > 2**n_chips, without building a huge power of two
         if (self.n_users - 1).bit_length() > self.n_chips:
             raise ValueError(
-                f"{self.n_users} users need distinct signatures, but {self.n_chips} "
+                f"{_shown(self.n_users)} users need distinct signatures, but {self.n_chips} "
                 f"chips give only 2**{self.n_chips} binary sequences"
             )
         if self.amplitudes is None:
@@ -126,7 +133,15 @@ def _check_kind(kind: type, value, key: str) -> None:
             bad = True
     if bad:
         what = _KIND_NAMES.get(kind, f"a {kind.__name__}")
-        raise ValueError(f"{key} must be {what}, got {value!r}")
+        raise ValueError(f"{key} must be {what}, got {_shown(value)}")
+
+
+def _shown(value) -> str:
+    """``repr(value)``, unless an integer in it has too many digits to print."""
+    try:
+        return repr(value)
+    except ValueError:
+        return "an integer too long to print"
 
 
 def _reach(cfg: CdmaConfig) -> int:
@@ -375,7 +390,7 @@ def _noiseless_planes(
     return signal_re, signal_im
 
 
-class MmseReceiver:
+class MmseReceiver(_Scheme):
     """Clairvoyant linear MMSE receiver for user 0, as a scheme.
 
     Knows every signature, every amplitude and the noise variance, and is
@@ -385,12 +400,6 @@ class MmseReceiver:
     ``-reach .. reach`` around the current one, ``reach = ceil((n_paths -
     1) / n_chips)`` (the exact interference structure of
     :func:`generate_received`), plus the noise floor.
-
-    It speaks the adaptive schemes' protocol (:mod:`rrfilt.filters`) without
-    adapting: ``equivalent()`` is the MMSE filter of the current symbol's
-    snapshot, so ``equivalent()^H r == predict(r)``, and ``step(r, d)``
-    filters ``r`` with it (one solve), applies ``d`` to the output if it is a
-    decision function, and moves on to the next symbol.
 
     The convolution matrices are kept complex and stacked into one
     ``((2 * reach + 1) * n_users * window_len, n_paths)`` array, so a
@@ -445,13 +454,12 @@ class MmseReceiver:
         """The current symbol's MMSE filter."""
         return self.filter_for(self.gains[self.symbol])
 
-    def predict(self, r) -> complex:
-        """Output of the current symbol's filter for ``r``; does not advance."""
+    def _input(self, r) -> complex:
         return np.vdot(self.equivalent(), _window(r, self.num_taps)).item()
 
-    def step(self, r, d) -> StepResult:
-        y = self.predict(r)
-        if callable(d):
-            d = d(y)
+    def _outputs(self, y) -> list:
+        return [y]
+
+    def _advance(self, y, ds) -> list[StepResult]:
         self.symbol += 1
-        return StepResult(y, complex(d) - y, (), ())
+        return [StepResult(y, complex(ds[0]) - y, (), ())]

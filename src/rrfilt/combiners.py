@@ -10,17 +10,17 @@ Scheme A mixes four reduced-rank constituents through nodes ``a`` (1/2),
 node ``c``; the CLMS baseline mixes two full-tap LMS filters through one
 node ``a``.
 
-A tree speaks the constituents' protocol (:mod:`rrfilt.filters`): ``step``,
-``predict`` and ``equivalent()``.  A step prepares every constituent's input
-once; given a decision function in place of the desired response, it
-applies it to the tree's pre-update prediction (the mix of the
-constituents' predictions, formed before any constituent steps) and adapts
-toward the decision.  It then steps every constituent on its prepared
-input, each adapting with its own error, and mixes their pre-update outputs
-bottom-up; each node reads its mixing value, forms its output and then
-adapts with the error of that output.  Nodes and constituents share no
-state, so every quantity a step reports is a pre-update one.  A tree's
-``ops`` sums its constituents' and adds ``NODE_OPS`` per node (CLMS only).
+A tree speaks the constituents' protocol (:class:`rrfilt.filters._Scheme`):
+its ``_input`` prepares every constituent's input once; its ``_outputs`` is
+the tree's pre-update prediction (the mix of the constituents' predictions,
+formed before any constituent steps), to which a decision function given in
+place of the desired response is applied; its ``_advance`` steps every
+constituent on its prepared input, each adapting with its own error, and
+mixes their pre-update outputs bottom-up; each node reads its mixing value,
+forms its output and then adapts with the error of that output.  Nodes and
+constituents share no state, so every quantity a step reports is a
+pre-update one.  A tree's ``ops`` sums its constituents' and adds
+``NODE_OPS`` per node (CLMS only).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .filters import StepResult
+from .filters import StepResult, _Scheme
 
 
 def sigmoid(u: float) -> float:
@@ -87,7 +87,7 @@ class Combiner:
         self.u = float(min(max(self.u + self.mu * grad, -self.u_max), self.u_max))
 
 
-class MixTree:
+class MixTree(_Scheme):
     """Constituent filters joined by binary sigmoid mixing nodes.
 
     Subclasses fix ``NODES``: one ``(left, right)`` pair of value indices
@@ -155,10 +155,6 @@ class MixTree:
         counts = [f.ops for f in self.filters] + [self.NODE_OPS] * len(self.NODES)
         return sum(c[0] for c in counts), sum(c[1] for c in counts)
 
-    def predict(self, r):
-        out = self._predicted(self._inputs(r))
-        return out if self.lanes else out[0]
-
     def equivalent(self) -> np.ndarray:
         """Window-length filter equivalent to the tree at its constituents'
         last selected branches: ``equivalent()^H r == predict(r)``."""
@@ -176,12 +172,12 @@ class MixTree:
             values.append(lam * values[i] + (1.0 - lam) * values[j])
         return values[-1]
 
-    def _inputs(self, r) -> list:
+    def _input(self, r) -> list:
         """Every bank's prepared input: the tree's windows, once per member."""
         windows = list(r) if self.lanes else [r]
         return [bank._input(windows * k) for bank, k in self._banks]
 
-    def _predicted(self, xs) -> list:
+    def _outputs(self, xs) -> list:
         """Every lane's pre-update tree output, from the banks' prepared
         inputs ``xs``: the mix of the constituents' predictions."""
         values = []
@@ -190,13 +186,9 @@ class MixTree:
         return [self._mix(list(lane(values)), nodes)
                 for lane, nodes in zip(self._lane_values, self._nodes)]
 
-    def step(self, r, d):
+    def _advance(self, xs, ds) -> list[StepResult]:
         # plain loops below, not comprehensions: this runs once per symbol
-        xs = self._inputs(r)
-        if callable(d):
-            ds = [complex(d(y)) for y in self._predicted(xs)]
-        else:
-            ds = [complex(v) for v in (d if self.lanes else (d,))]
+        ds = [complex(v) for v in ds]
         outs, picks = [], []
         for (bank, k), x in zip(self._banks, xs):
             y, _, b = bank._step(x, np.array(ds * k))
@@ -216,7 +208,7 @@ class MixTree:
             results.append(
                 StepResult(y, dt - y, lane(picks) if picks else (), tuple(lambdas))
             )
-        return results if self.lanes else results[0]
+        return results
 
 
 # The three schemes fix their node tables.  Each keeps ``step`` and

@@ -24,24 +24,25 @@ same, bit for bit, whatever bank it runs in.  Same-shape filters can be
 joined into one bank (as a mixing tree does, :mod:`rrfilt.combiners`); each
 then reads and writes its own lanes of the bank's arrays.
 
-Each filter, like every mixing tree of them, can ``step`` (returning a
-:class:`StepResult`, one per lane for a bank), ``predict`` without
-adapting, and give its ``equivalent()`` window-length filter, which
-satisfies ``equivalent()^H r == predict(r)``, and its ``ops``, the
+Every scheme, a filter, a mixing tree of them or the MMSE receiver, is a
+:class:`_Scheme`, which writes ``step`` (returning a :class:`StepResult`,
+one per lane for a bank) and ``predict`` (without adapting) once, over
+three hooks: the prepared input ``_input(r)``, the lanes' pre-update
+outputs ``_outputs(x)`` and ``_advance(x, ds)``, which steps every lane
+toward its target.  ``d`` in ``step(r, d)`` is the desired response,
+exactly one per lane for a bank, or a decision function, applied to each
+lane's pre-update output (decision-directed operation): ``step(r,
+decide)`` is ``step(r, decide(predict(r)))`` by construction.  A scheme
+also gives its ``equivalent()`` window-length filter, with
+``equivalent()^H r == predict(r)``, and an adaptive one its ``ops``, the
 closed-form real additions and multiplications of one lane's step.
-``step(r, d)`` takes the desired response ``d`` or a decision function in
-its place: the function is applied to each lane's pre-update output
-``predict(r)`` and the lane adapts toward its result (decision-directed
-operation).
 
-A filter prepares its per-symbol input once: ``_input(r)`` is the checked
-windows for full-tap LMS and, for JIDF, the Hankel regressors (one
-``build_hankel`` per lane) with the conjugated interpolators and filters.
-``predict`` and ``step`` are thin wrappers over ``_predict(x)`` and
-``_step(x, d)`` on that input, so a decision-directed step builds one
-regressor per lane, not two, and a mixing tree prepares each bank once for
-both its prediction and its step.  Both families share ``_step``: it runs
-``_forward`` (outputs, branch choice, gradients) then ``_commit``
+A filter's ``_input(r)`` is the checked windows for full-tap LMS and, for
+JIDF, the Hankel regressors (one ``build_hankel`` per lane) with the
+conjugated interpolators and filters, so a decision-directed step builds
+one regressor per lane, not two, and a mixing tree prepares each bank once
+for both its prediction and its step.  Both families share ``_step``: it
+runs ``_forward`` (outputs, branch choice, gradients) then ``_commit``
 (coefficient updates), the forward-pass/commit boundary the benchmark
 times.  The hand-off is plain arrays over the lanes, one shape for both:
 ``_forward`` returns ``(y, e, b, *regressors)`` (``(y, e, None, x)`` for
@@ -109,7 +110,36 @@ def _step_sizes(*values) -> list[np.ndarray]:
     return [s.copy() for s in sizes]
 
 
-class _Bank:
+class _Scheme:
+    """The step protocol of every scheme (see above): a subclass sets
+    ``lanes`` (``()`` or ``(L,)``) and gives the three hooks."""
+
+    lanes: tuple = ()
+
+    @property
+    def n_lanes(self) -> int:
+        return self.lanes[0] if self.lanes else 1
+
+    def predict(self, r):
+        """Each lane's output for its window of ``r``, without adapting."""
+        out = self._outputs(self._input(r))
+        return out if self.lanes else out[0]
+
+    def step(self, r, d):
+        """Filter one window per lane and advance toward ``d`` (see above)."""
+        x = self._input(r)
+        if callable(d):
+            ds = [d(y) for y in self._outputs(x)]
+        else:
+            ds = d if self.lanes else (d,)
+            listed = isinstance(ds, (list, tuple)) and len(ds) == self.n_lanes
+            if not listed and getattr(ds, "shape", None) != self.lanes:
+                raise ValueError(f"expected one target per lane, {self.n_lanes} of them")
+        results = self._advance(x, ds)
+        return results if self.lanes else results[0]
+
+
+class _Bank(_Scheme):
     """What both filter families share: lanes, results and joining.
 
     Subclasses name their step sizes (``_STEPS``) and adapted state
@@ -123,36 +153,21 @@ class _Bank:
         self.lanes = lanes
         self._home, self._lanes = self, ...
 
-    @property
-    def n_lanes(self) -> int:
-        return self.lanes[0] if self.lanes else 1
+    def _outputs(self, x) -> list:
+        """Each lane's output, a JIDF filter's on its last selected branch."""
+        return np.ravel(self._predict(x)).tolist()
 
-    def predict(self, r):
-        """Each lane's output for its window of ``r``, no adaptation (a JIDF
-        filter uses its last selected branch)."""
-        return self._predict(self._input(r)).tolist()
-
-    def step(self, r, d):
-        """Filter one window per lane and adapt.  ``d`` is the desired
-        response (one per lane for a bank) or a decision function, applied
-        to each lane's pre-update prediction."""
-        x = self._input(r)
-        if callable(d):
-            out = [d(v) for v in np.ravel(self._predict(x)).tolist()]
-            d = np.array(out, dtype=np.complex128).reshape(self.lanes)
-        return self._results(*self._step(x, d))
+    def _advance(self, x, ds) -> list[StepResult]:
+        y, e, b = self._step(x, ds if self.lanes else ds[0])
+        ys, es = np.ravel(y).tolist(), np.ravel(e).tolist()
+        bs = [()] * len(ys) if b is None else [(v,) for v in np.ravel(b).tolist()]
+        return [StepResult(y, e, b, ()) for y, e, b in zip(ys, es, bs)]
 
     def _step(self, x, d) -> tuple:
         """``(y, e, b)`` of one step of every lane toward the targets ``d``."""
         y, e, b, *regressors = self._forward(x, d)
         self._commit(e, b, *regressors)
         return y, e, b
-
-    def _results(self, y, e, b) -> StepResult | list[StepResult]:
-        ys, es = np.ravel(y).tolist(), np.ravel(e).tolist()
-        bs = [()] * len(ys) if b is None else [(v,) for v in np.ravel(b).tolist()]
-        results = [StepResult(y, e, b, ()) for y, e, b in zip(ys, es, bs)]
-        return results if self.lanes else results[0]
 
     @classmethod
     def _join(cls, members) -> _Bank:

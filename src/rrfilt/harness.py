@@ -69,28 +69,29 @@ from .cdma import (
     ClarkeChannel,
     MmseReceiver,
     _check_kind,
+    _shown,
     detect_qpsk,
     generate_received,
     generate_signatures,
     qpsk_symbols,
 )
 from .combiners import Clms, Combiner, SchemeA, SchemeB
-from .filters import FullRankLms, JidfFilter, StepResult
+from .filters import FullRankLms, JidfFilter, StepResult, _Scheme
 
 
-class _Scheme(NamedTuple):
+class _Row(NamedTuple):
     leaf: type | None  # constituent filter class; None for the MMSE receiver
     tree: type | None = None  # mixing tree over the constituents, if any
     nodes: tuple[str, ...] = ()  # name of each of the tree's nodes, in node order
 
 
 _SCHEMES = {
-    "fullrank": _Scheme(FullRankLms),
-    "clms": _Scheme(FullRankLms, Clms, ("a",)),
-    "jidf": _Scheme(JidfFilter),
-    "scheme_a": _Scheme(JidfFilter, SchemeA, ("a", "b", "c")),
-    "scheme_b": _Scheme(JidfFilter, SchemeB, ("c",)),
-    "mmse": _Scheme(None),
+    "fullrank": _Row(FullRankLms),
+    "clms": _Row(FullRankLms, Clms, ("a",)),
+    "jidf": _Row(JidfFilter),
+    "scheme_a": _Row(JidfFilter, SchemeA, ("a", "b", "c")),
+    "scheme_b": _Row(JidfFilter, SchemeB, ("c",)),
+    "mmse": _Row(None),
 }
 SCHEMES = tuple(_SCHEMES)
 # Consecutive runs per work unit, for one point and a sweep alike; a unit
@@ -160,7 +161,7 @@ class ExperimentConfig:
         if max(self.n_symbols, self.n_runs) > sys.maxsize:
             raise ConfigError(f"n_symbols and n_runs must be <= {sys.maxsize}")
         if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+            raise ConfigError(f"seed must be >= 0, got {_shown(self.seed)}")
         if self.train_mode not in ("supervised", "semi"):
             raise ConfigError("train_mode must be 'supervised' or 'semi'")
         if self.train_mode == "semi" and self.train_symbols < 0:
@@ -179,7 +180,7 @@ class ExperimentConfig:
         if not 1 <= self.n_branches <= window_len:
             raise ConfigError(
                 f"n_branches must satisfy 1 <= n_branches <= window length "
-                f"{window_len}, got {self.n_branches}"
+                f"{window_len}, got {_shown(self.n_branches)}"
             )
         try:
             Combiner(0.0, u_max=self.u_max)  # the one u_max rule, for every scheme
@@ -279,7 +280,7 @@ def _convert(kind, value, key: str):
     would truncate."""
     if isinstance(kind, tuple):
         if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{key} must be a list, got {value!r}")
+            raise ConfigError(f"{key} must be a list, got {_shown(value)}")
         return tuple(_convert(kind[0], v, f"{key}[{i}]") for i, v in enumerate(value))
     bad = not isinstance(value, str) if kind is str else isinstance(value, bool)
     try:
@@ -289,7 +290,7 @@ def _convert(kind, value, key: str):
     except (TypeError, ValueError, OverflowError):
         bad = True
     if bad:
-        raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
+        raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {_shown(value)}")
     return converted
 
 
@@ -318,7 +319,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
     branch_data = [] if data.get("branches") is None else data["branches"]
     if not isinstance(branch_data, (list, tuple)):
-        raise ConfigError(f"branches must be a list of mappings, got {branch_data!r}")
+        raise ConfigError(f"branches must be a list of mappings, got {_shown(branch_data)}")
     branches = []
     for i, entry in enumerate(branch_data):
         if not isinstance(entry, dict):
@@ -357,6 +358,8 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigError(f"{path}: not valid UTF-8: {exc}") from None
         except yaml.YAMLError as exc:
             raise ConfigError(f"{path}: not valid YAML: {exc}") from None
+        except ValueError as exc:  # too many digits, a date that does not exist
+            raise ConfigError(f"{path}: cannot read a value: {exc}") from None
     if data is None:
         raise ConfigError(f"{path}: empty configuration")
     return config_from_dict(data)
@@ -394,17 +397,23 @@ def _build_scheme(cfg: ExperimentConfig, draws=None):
     return spec.tree(filters, mus, u_max=cfg.u_max)
 
 
-class _Receivers:
-    """MMSE receivers, one per lane, behind a bank's ``step``: a receiver
+class _Receivers(_Scheme):
+    """MMSE receivers, one per lane, behind a bank's protocol: a receiver
     does not adapt, so its lanes share no arithmetic (one solve per lane and
     symbol)."""
 
     def __init__(self, receivers: list[MmseReceiver]):
         self.receivers = receivers
+        self.lanes = (len(receivers),)
 
-    def step(self, r, d) -> list[StepResult]:
-        ds = [d] * len(self.receivers) if callable(d) else d
-        return [rx.step(w, v) for rx, w, v in zip(self.receivers, r, ds)]
+    def _input(self, r) -> list:
+        return [rx._input(w) for rx, w in zip(self.receivers, r, strict=True)]
+
+    def _outputs(self, ys) -> list:
+        return ys
+
+    def _advance(self, ys, ds) -> list[StepResult]:
+        return [rx._advance(y, (d,))[0] for rx, y, d in zip(self.receivers, ys, ds)]
 
 
 def complexity_report(cfg: ExperimentConfig) -> tuple[int, int] | None:
@@ -684,7 +693,7 @@ def snr_sweep(cfg: ExperimentConfig, snr_list) -> list[ExperimentRecord]:
         try:
             noise_vars.append(dataclasses.replace(cfg.cdma, snr_db=float(snr)).noise_variance)
         except (ValueError, OverflowError) as exc:
-            raise ConfigError(f"SNR point {snr!r}: {exc}") from exc
+            raise ConfigError(f"SNR point {_shown(snr)}: {exc}") from exc
     return _monte_carlo(cfg, tuple(noise_vars))
 
 

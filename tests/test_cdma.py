@@ -135,6 +135,9 @@ class TestSignatures:
             CdmaConfig(n_users=5, n_chips=2, n_paths=1)
         with pytest.raises(ValueError, match="distinct signatures"):
             CdmaConfig(n_users=2**40 + 1, n_chips=40, n_paths=1)
+        # more digits than repr prints: refused all the same
+        with pytest.raises(ValueError, match="too long to print users need distinct signatures"):
+            CdmaConfig(n_users=10**5000, n_chips=4, n_paths=1)
 
     @pytest.mark.parametrize("field,value,message", [
         ("n_users", 2.5, "n_users must be an integer"),
@@ -146,6 +149,11 @@ class TestSignatures:
         pytest.param("snr_db", 10**400, "snr_db must be a number", id="snr_db-huge_int"),
         pytest.param("amplitudes", (10**400,) * 8, r"amplitudes\[0\] must be a number",
                      id="amplitudes-huge_int"),
+        # integers with more digits than repr prints: named, not printed
+        pytest.param("doppler", 10**5000, "^doppler must be a number, got an integer too long",
+                     id="doppler-past_digit_limit"),
+        pytest.param("amplitudes", 10**5000, "^amplitudes must be a list of numbers, got an",
+                     id="amplitudes-past_digit_limit"),
     ])
     def test_config_names_a_wrong_typed_field(self, field, value, message):
         # a library caller's value, which no config file converted first

@@ -634,10 +634,8 @@ class TestDecisionDirectedStep:
                 return detect_qpsk(y)
 
             got = by_function.step(r, decide)
-            if kind == "mmse":
-                predictions = [rx.predict(w) for rx, w in zip(by_symbol.receivers, r)]
-            else:
-                predictions = by_symbol.predict(r)
+            predictions = by_symbol.predict(r)
+            if kind != "mmse":  # the receivers' bank has no equivalent() of its own
                 eq = by_symbol.equivalent()  # one window-length filter per lane
                 for t in range(n_lanes):
                     y_eq = np.vdot(eq[t], r[t])
@@ -650,3 +648,56 @@ class TestDecisionDirectedStep:
                     assert repr(getattr(g, name)) == repr(getattr(w, name)), name
             assert _state(by_function) == _state(by_symbol)
             scheme = by_function
+
+
+def _small_scheme(kind, lanes):
+    """A scheme of kind ``kind`` in a random state, with lanes ``lanes``
+    (``()`` or ``(2,)``): full-tap LMS for ``fullrank`` and ``clms``, JIDF
+    otherwise, and one MMSE receiver per lane for ``mmse``."""
+    rng = np.random.default_rng(2030)
+    size = lanes or None
+    if kind == "mmse":
+        cfg = CdmaConfig(n_users=2, n_chips=4, n_paths=1)
+        gains = ClarkeChannel(1, 0.01, rng).run(4)
+        rx = MmseReceiver(cfg, generate_signatures(2, 4, rng), gains, 0.5)
+        return _Receivers([copy.deepcopy(rx) for _ in range(lanes[0])]) if lanes else rx
+    filters = []
+    for _ in range(len(_TREES.get(kind, ())) + 1):
+        if kind in ("fullrank", "clms"):
+            f = FullRankLms(4, mu=rng.uniform(0.05, 0.2, size))
+            f.w = _random_complex(rng, lanes + (4,))
+        else:
+            f = _randomize(JidfFilter(4, 2, 2, 2, eta=rng.uniform(0.01, 0.05, size),
+                                      mu=rng.uniform(0.05, 0.2, size)), rng)
+        filters.append(f)
+    tree = {"clms": Clms, "scheme_b": SchemeB, "scheme_a": SchemeA}.get(kind)
+    return filters[0] if tree is None else tree(filters, [0.25] * len(_TREES[kind]))
+
+
+class TestOneTargetPerLane:
+    """A bank or tree of L lanes takes exactly L targets, checked before any
+    lane adapts; a single scheme takes one plain target."""
+
+    KINDS = ["fullrank", "jidf", "mmse", "clms", "scheme_b", "scheme_a"]
+
+    @pytest.mark.parametrize("targets", [1 + 1j, [1 + 1j], [1 + 1j, 1 - 1j, -1 + 1j]],
+                             ids=["scalar", "one", "three"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_two_lanes_refuse_any_other_count(self, kind, targets):
+        scheme = _small_scheme(kind, (2,))
+        r = _random_complex(np.random.default_rng(7), (2, 4))
+        before = _state(scheme)
+        with pytest.raises(ValueError, match="one target per lane"):
+            scheme.step(r, targets)
+        assert _state(scheme) == before
+        with pytest.raises(ValueError, match="one target per lane"):
+            scheme.step(r, np.array(targets))
+        assert _state(scheme) == before
+        assert len(scheme.step(r, [1 + 1j, 1 - 1j])) == 2
+        assert _state(scheme) != before
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_single_scheme_takes_a_scalar(self, kind):
+        scheme = _small_scheme(kind, ())
+        res = scheme.step(_random_complex(np.random.default_rng(7), 4), 1 + 1j)
+        assert res.e == 1 + 1j - res.y

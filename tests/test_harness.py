@@ -251,6 +251,22 @@ combiners: {mu_c: 0.25}
             with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be "):
                 call()
 
+    # integers whose repr Python refuses (more than 4300 digits): the
+    # message must name the key without printing the value
+    @pytest.mark.parametrize("data,key", [
+        ({"scheme": "mmse", "u_max": 10**5000}, "u_max"),
+        ({"scheme": "mmse", "cdma": {"doppler": 10**5000}}, "cdma.doppler"),
+        ({"scheme": "mmse", "cdma": {"amplitudes": 10**5000}}, "cdma.amplitudes"),
+        ({"scheme": "scheme_b", "combiners": {"mu_c": 10**5000}}, "combiners.mu_c"),
+        ({"scheme": "mmse", "branches": 10**5000}, "branches"),
+        ({"scheme": "mmse", "seed": -(10**5000)}, "seed"),
+        ({"scheme": "mmse", "n_branches": 10**5000}, "n_branches"),
+    ], ids=["u_max", "doppler", "amplitudes", "mu_c", "branches", "seed", "n_branches"])
+    def test_integers_past_the_digit_limit_name_their_key(self, data, key):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must .*, "
+                                              r"got an integer too long to print$"):
+            config_from_dict(data)
+
     def test_null_sections_take_the_defaults(self):
         cfg = config_from_dict(
             {"scheme": "mmse", "cdma": None, "branches": None, "combiners": None}
@@ -829,7 +845,8 @@ class TestMonteCarloEngine:
             raise AssertionError("a run started")
 
         monkeypatch.setattr(harness, "_single_run", unit_must_not_run)
-        for point in (math.nan, 10**400):  # 10**400: past the float range
+        # 10**400: past the float range; 10**5000: past the digits repr prints
+        for point in (math.nan, 10**400, 10**5000):
             with pytest.raises(ConfigError, match="SNR point"):
                 snr_sweep(tiny_config("jidf"), [12.0, point])
         bad = tiny_config("jidf", n_runs=0)
@@ -1228,6 +1245,19 @@ class TestCliRejectsBadValues:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {what} to {out}: ")
         assert "Traceback" not in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("line", [f"seed: {'9' * 5000}", "out: 2020-02-30"],
+                             ids=["past_digit_limit", "no_such_date"])
+    def test_unbuildable_scalar_reported(self, tmp_path, capsys, line):
+        # PyYAML cannot build the value: a config error naming the file
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"scheme: mmse\n{line}\nn_symbols: 5\nn_runs: 1\n")
+        out = tmp_path / "o.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: cannot read a value: ")
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_more_users_than_signatures(self, tmp_path, capsys, command):
